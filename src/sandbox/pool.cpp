@@ -112,6 +112,11 @@ std::atomic<bool> g_corrupt_next{false};
 // touches the ring (the heartbeat thread writes pipe frames only).
 ShmRing* g_worker_ring = nullptr;
 Doorbell* g_worker_doorbell = nullptr;
+// The worker's result pipe and the job whose measure slot it still holds
+// (main thread only; mark_measured releases the slot at most once).
+int g_result_fd = -1;
+std::uint64_t g_job_id = 0;
+bool g_holds_slot = false;
 
 bool write_frame(int fd, const std::string& payload, bool corrupt = false) {
   const std::string frame = frame_encode(payload, corrupt);
@@ -193,6 +198,7 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   install_worker_crash_handlers();
   g_hb_suppress.store(false);
   g_corrupt_next.store(false);
+  g_result_fd = res_wr;
 
   if (client.on_worker_start) client.on_worker_start();
 
@@ -253,7 +259,10 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
         break;
       }
       if (rec.type == "job") {
+        g_job_id = rec.a;
+        g_holds_slot = true;
         const std::string result = client.run_job(rec.body);
+        g_holds_slot = false;  // the result frame releases an unmarked slot
         const bool corrupt = g_corrupt_next.exchange(false);
         char header[48];
         if (g_worker_ring != nullptr) {
@@ -371,6 +380,15 @@ std::string to_string(Transport t) {
   return "?";
 }
 
+void WorkerPool::mark_measured() {
+  if (g_result_fd < 0 || !g_holds_slot) return;
+  g_holds_slot = false;
+  char mark[32];
+  std::snprintf(mark, sizeof(mark), "mark %llu",
+                static_cast<unsigned long long>(g_job_id));
+  write_frame(g_result_fd, mark);  // a dead parent surfaces at the result
+}
+
 void WorkerPool::suppress_heartbeats() { g_hb_suppress.store(true); }
 
 void WorkerPool::corrupt_next_frame() { g_corrupt_next.store(true); }
@@ -404,6 +422,7 @@ PoolOutcome WorkerPool::run(
     FrameReader reader;
     std::string stderr_tail;
     std::optional<Job> job;
+    bool measuring = false;   // job holds a measure slot (until its mark)
     double last_beat = 0.0;   // any frame counts as liveness
     double busy_since = 0.0;
     double drain_at = 0.0;    // when Draining started (drain stall guard)
@@ -435,6 +454,7 @@ PoolOutcome WorkerPool::run(
   bool interrupted = false;
   double interrupt_term_at = 0.0;
   int consecutive_fork_failures = 0;
+  std::size_t spread_cursor = 0;  // where dispatch pass 2 starts its scan
 
   // Scoped signal plumbing: SIGCHLD self-pipe wakeup, SIGPIPE ignored (a
   // worker dying between poll() and our write must surface as EPIPE, not
@@ -588,6 +608,7 @@ PoolOutcome WorkerPool::run(
     f.stderr_tail = s.stderr_tail;
     Job job = std::move(*s.job);
     s.job.reset();
+    s.measuring = false;
     ++stats_.jobs_failed;
     Disposition d = Disposition::Done;
     if (client_.on_failure) d = client_.on_failure(job, f);
@@ -683,6 +704,13 @@ PoolOutcome WorkerPool::run(
       s.state = WorkerState::Idle;
     } else if (rec.type == "hb") {
       ++stats_.heartbeats;
+    } else if (rec.type == "mark") {
+      if (s.state != WorkerState::Busy || !s.job || s.job->id != rec.a) {
+        ++stats_.corrupt_frames;
+        condemn(s, FailReason::ProtocolCorrupt);
+        return;
+      }
+      s.measuring = false;
     } else if (rec.type == "result") {
       if (s.state != WorkerState::Busy || !s.job || s.job->id != rec.a) {
         ++stats_.corrupt_frames;
@@ -697,6 +725,7 @@ PoolOutcome WorkerPool::run(
       }
       Job job = std::move(*s.job);
       s.job.reset();
+      s.measuring = false;
       s.state = WorkerState::Idle;
       ++stats_.jobs_completed;
       Disposition d = Disposition::Done;
@@ -845,6 +874,7 @@ PoolOutcome WorkerPool::run(
         if (s.pid > 0) kill(s.pid, SIGTERM);
         s.ignore_frames = true;
         s.job.reset();
+        s.measuring = false;
         if (s.state != WorkerState::Dead) {
           s.state = WorkerState::Draining;
           s.drain_at = interrupt_term_at;
@@ -937,8 +967,11 @@ PoolOutcome WorkerPool::run(
     // workers jobs whose keys no live worker has claimed — a claimed
     // key's jobs wait for their warm worker rather than being spread
     // across the pool, so per-key setup happens once per pool, not once
-    // per worker. Progress is guaranteed: a claimed key's owner is
-    // Idle (pass 1 feeds it this round), Busy/Spawning (it will pull the
+    // per worker. Pass 2 starts its scan one slot past where it last
+    // dispatched, so new keys spread round-robin across the pool instead
+    // of piling every key's warm state into the lowest idle slot.
+    // Progress is guaranteed: a claimed key's owner is Idle (pass 1 feeds
+    // it once a measure slot is free), Busy/Spawning (it will pull the
     // key's jobs when it frees up), or dies (respawn keeps the claim; a
     // slot past its respawn budget goes Dead and Dead slots claim
     // nothing).
@@ -961,32 +994,36 @@ PoolOutcome WorkerPool::run(
       }
       s.last_affinity = job.affinity;
       s.job = std::move(job);
+      s.measuring = true;
       s.state = WorkerState::Busy;
       s.busy_since = now_sec();
       ++stats_.jobs_dispatched;
       return true;
     };
     if (!aborting) {
-      // Oversubscription guard: never run more jobs at once than
-      // cfg_.max_inflight (0 = uncapped). Surplus idle workers keep their
-      // warm affinity partitions and stand by as crash-containment
-      // spares; dispatching to them anyway would just preempt the workers
-      // already measuring kernel loops.
+      // Measure slots (PoolConfig::max_inflight, 0 = uncapped): a job is
+      // dispatched only while fewer than `cap` jobs are measuring, so
+      // measured work never preempts measured work. Workers past their
+      // mark (encoding, shipping a result) do not hold a slot.
       const std::size_t cap = cfg_.max_inflight == 0
                                   ? slots.size()
                                   : std::min(cfg_.max_inflight, slots.size());
-      std::size_t inflight = 0;
+      std::size_t measuring = 0;
       for (const Slot& s : slots) {
-        if (s.state == WorkerState::Busy) ++inflight;
+        if (s.measuring) ++measuring;
       }
+      auto took_slot = [&] {
+        ++measuring;
+        stats_.peak_measuring = std::max(stats_.peak_measuring, measuring);
+      };
       for (Slot& s : slots) {
-        if (queue.empty() || inflight >= cap) break;
+        if (queue.empty() || measuring >= cap) break;
         if (s.state != WorkerState::Idle || s.last_affinity == 0) continue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
           if (it->affinity == s.last_affinity) {
             if (dispatch_to(s, it)) {
               ++stats_.affinity_hits;
-              ++inflight;
+              took_slot();
             }
             break;
           }
@@ -1003,12 +1040,17 @@ PoolOutcome WorkerPool::run(
         }
         return false;
       };
-      for (Slot& s : slots) {
-        if (queue.empty() || inflight >= cap) break;
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        if (queue.empty() || measuring >= cap) break;
+        const std::size_t i = (spread_cursor + k) % slots.size();
+        Slot& s = slots[i];
         if (s.state != WorkerState::Idle) continue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
           if (!claimed_elsewhere(it->affinity, s)) {
-            if (dispatch_to(s, it)) ++inflight;
+            if (dispatch_to(s, it)) {
+              took_slot();
+              spread_cursor = i + 1;
+            }
             break;
           }
         }

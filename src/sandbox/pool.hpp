@@ -21,6 +21,10 @@
 //     and respawned with exponential backoff, up to a per-slot budget;
 //     the in-flight job is handed back to the client, which decides
 //     Retry (requeued at the front, dispatched to a fresh worker) or Done;
+//   * at most `max_inflight` jobs *measure* at once: a job holds a measure
+//     slot from dispatch until its worker calls mark_measured() (or, if it
+//     never does, until its result arrives), so timed work never shares
+//     the machine while result encoding and transfer overlap the next job;
 //   * the job queue is pull-based: the pool asks the client's `next_job`
 //     source for work only when the bounded pending queue has room, so
 //     producer memory is bounded by construction (backpressure);
@@ -125,12 +129,17 @@ struct PoolConfig {
                                      ///< long-lived worker regardless of
                                      ///< per-job behaviour; wall deadlines
                                      ///< cover hangs instead.
-  /// Cap on jobs executing concurrently across the pool; 0 = workers
-  /// (uncapped). Callers set this to the machine's hardware concurrency
-  /// so measured kernel loops never oversubscribe physical cores: surplus
-  /// workers stay resident as warm dataset-cache partitions (see
-  /// Job::affinity) and crash-containment spares, but only max_inflight
-  /// of them run a job at any instant.
+  /// Measure slots: cap on jobs *measuring* at once across the pool;
+  /// 0 = workers (uncapped). A job measures from dispatch until its worker
+  /// calls WorkerPool::mark_measured(), or until its result or failure if
+  /// it never does, so a client that does not mark gets whole jobs capped.
+  /// A job is dispatched only when a slot is free, never parked inside a
+  /// worker, so deadlines and heartbeats time only its own work. With 1,
+  /// timed work runs alone on the machine while other workers' post-mark
+  /// tails (result encode, transfer, supervisor decode) overlap it; a hung
+  /// job holds its slot until its deadline or heartbeat timeout. Workers
+  /// beyond the cap stay resident as warm per-key partitions (see
+  /// Job::affinity) and crash-containment spares.
   std::size_t max_inflight = 0;
   /// Result/final payload transport. Shm falls back to Json per worker
   /// when ring setup fails (counted in PoolStats::ring_fallbacks).
@@ -153,6 +162,7 @@ struct PoolStats {
   std::size_t jobs_failed = 0;       ///< failures handed to the client
   std::size_t peak_queue_depth = 0;  ///< high water of the pending queue
   std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
+  std::size_t peak_measuring = 0;    ///< high water of jobs holding a slot
   std::size_t shm_spawns = 0;        ///< spawns that got a shm ring
   std::size_t ring_fallbacks = 0;    ///< spawns degraded to Json transport
   std::uint64_t ring_messages = 0;   ///< payloads delivered over rings
@@ -209,7 +219,12 @@ class WorkerPool {
 
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
 
-  // ----- worker-side controls (fault injection; no-ops in the parent) --
+  // ----- worker-side controls (no-ops in the parent) ------------------
+  /// Release the calling worker's measure slot: the rest of the current
+  /// job (encoding its result, say) may overlap the next job's measured
+  /// work. Sends one payload-free control frame; repeated calls within a
+  /// job are no-ops.
+  static void mark_measured();
   /// Stop the calling worker's heartbeat thread from beating. Models a
   /// live-but-silent worker; the supervisor must notice via timeout.
   static void suppress_heartbeats();

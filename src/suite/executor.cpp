@@ -1,5 +1,6 @@
 #include "suite/executor.hpp"
 
+#include <omp.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -779,6 +780,8 @@ void Executor::run() {
         channel.set_metadata("sandbox_transport", transport);
         channel.set_metadata("pool_affinity_hits",
                              std::to_string(pool_stats_.affinity_hits));
+        channel.set_metadata("pool_peak_measuring",
+                             std::to_string(pool_stats_.peak_measuring));
         channel.set_metadata("pool_ring_messages",
                              std::to_string(pool_stats_.ring_messages));
         channel.set_metadata("pool_ring_payload_bytes",
@@ -821,6 +824,13 @@ void Executor::run() {
       summary["trace_overhead_pct"] = trace_overhead_pct_;
       summary["fault_fires"] =
           static_cast<double>(faults::injector().fires());
+      // Observed, so it lands here rather than in the run header: the
+      // header is the run's content address and is written before any
+      // cell runs.
+      if (params_.isolate != IsolationMode::None && params_.workers > 0) {
+        summary["pool_peak_measuring"] =
+            static_cast<double>(pool_stats_.peak_measuring);
+      }
       store_writer_->add_trace_summary(summary);
       store_writer_->finish_run();
       // Seal summary on stderr: which segment the run landed in and
@@ -1326,6 +1336,13 @@ std::string Executor::worker_run_cell(const std::string& payload) {
           cell_span_name(r.kernel, r.variant, r.tuning_name));
       r.status = run_cell_once(cell, scratch, r);
     }
+    // setUp, the timed loop, the checksum and tearDown ran alone; what
+    // follows (profile, encode, transfer) may overlap the next cell. Stop
+    // this worker's OpenMP team first: libgomp's idle threads spin for a
+    // few ms after each parallel region, and spinning here would run
+    // through the next cell's measurement in another worker.
+    omp_pause_resource_all(omp_pause_soft);
+    sandbox::WorkerPool::mark_measured();
     sample_trace_counters();
     if (r.status == RunStatus::Passed) {
       profile = cali::to_profile(scratch);
@@ -1659,12 +1676,14 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // it a window wider than the default 2x workers: enough to see past one
   // kernel's contiguous (variant, tuning) cells to the next kernel.
   cfg.queue_capacity = static_cast<std::size_t>(params_.workers) * 8;
-  // Measured kernel loops must not preempt each other: cap concurrent
-  // jobs at the machine's hardware concurrency. Extra workers beyond the
-  // cap still hold their warm dataset-cache partitions and serve as
-  // crash-containment spares. On machines with cores >= workers this
-  // changes nothing.
-  cfg.max_inflight = std::max(1u, std::thread::hardware_concurrency());
+  // One measure slot: each cell's setUp, timed loop, checksum and
+  // tearDown run alone on the machine (OpenMP cells start all-core teams,
+  // Stream cells saturate DRAM), while the previous cell's profile,
+  // encode, transfer and store append overlap them. The other workers
+  // hold warm dataset-cache partitions and serve as crash-containment
+  // spares. Trade-off: a hung cell stalls the sweep until
+  // --max-cell-seconds (or the heartbeat timeout) frees the slot.
+  cfg.max_inflight = 1;
 
   // Seed the wire dictionary before the pool forks: every worker inherits
   // the sweep's vocabulary (statuses, kernel/region names, metric keys) by

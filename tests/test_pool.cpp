@@ -1,14 +1,15 @@
 // Tests for rperf::sandbox::WorkerPool and the executor's pooled execution
 // path (--workers): the v2 framed protocol, supervised crash recycling,
-// heartbeat-timeout detection, central deadlines, backpressure, crash-loop
-// quarantine, fork-failure degradation, and bit-identical parity of pooled
-// vs in-process results.
+// heartbeat-timeout detection, central deadlines, backpressure, the
+// measure slot and key spreading, crash-loop quarantine, fork-failure
+// degradation, and bit-identical parity of pooled vs in-process results.
 //
 // OpenMP note: pooled workers are forked from the test process, so the
 // fixture pins OpenMP to one thread and the sweeps stick to Seq variants
 // (a forked copy of a live libgomp thread pool deadlocks). Executor tests
 // that compare against in-process execution always run the pooled half
 // FIRST for the same reason.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <omp.h>
 #include <signal.h>
@@ -22,6 +23,8 @@
 #include <utility>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -430,40 +433,77 @@ TEST_F(PoolTest, BackpressureBoundsOutstandingPulls) {
   expect_no_children();
 }
 
-// Workers report their job's wall-clock interval; CLOCK_MONOTONIC is
-// system-wide, so intervals from different worker processes compare
-// directly. With max_inflight=1 no two intervals may overlap (the cap
-// keeps measured work off shared cores even when more workers are
-// resident); uncapped, the sleeping jobs must overlap.
+// ------------------------------------------------------ pool: measure slot
+
+/// Seconds on the steady clock. CLOCK_MONOTONIC is system-wide, so stamps
+/// taken in different worker processes and in the supervisor compare
+/// directly.
+double mono_now() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+using Interval = std::pair<double, double>;
+
+bool overlap(const Interval& a, const Interval& b) {
+  return a.first < b.second && b.first < a.second;
+}
+
+std::size_t count_overlaps(const std::vector<Interval>& v) {
+  std::size_t n = 0;
+  for (std::size_t a = 0; a < v.size(); ++a) {
+    for (std::size_t b = a + 1; b < v.size(); ++b) {
+      if (overlap(v[a], v[b])) ++n;
+    }
+  }
+  return n;
+}
+
+// Each job measures for 30 ms, optionally calls mark_measured(), then
+// runs a 60 ms post-mark tail, and reports the three stamps. With one
+// measure slot the measured intervals (dispatch to mark) never overlap,
+// while a tail overlaps the next job's measurement. A client that never
+// marks holds the slot to its result, so whole jobs serialize. Uncapped,
+// whole jobs overlap.
 TEST_F(PoolTest, MaxInflightCapSerializesJobExecution) {
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{0}}) {
+  struct Case {
+    std::size_t cap;
+    bool marks;
+  };
+  for (const Case c : {Case{1, true}, Case{1, false}, Case{0, false}}) {
+    SCOPED_TRACE("cap " + std::to_string(c.cap) +
+                 (c.marks ? ", marks" : ", never marks"));
     PoolConfig cfg;
     cfg.workers = 2;
-    cfg.max_inflight = cap;
+    cfg.max_inflight = c.cap;
     PoolClient client;
     client.before_dispatch = [](Job& job) {
       job.payload = std::to_string(job.id);
     };
-    client.run_job = [](const std::string& payload) {
-      const auto t0 = std::chrono::steady_clock::now();
+    client.run_job = [marks = c.marks](const std::string&) {
+      const double t0 = mono_now();
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      const double t_mark = mono_now();
+      if (marks) WorkerPool::mark_measured();
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
-      const auto t1 = std::chrono::steady_clock::now();
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6f %.6f",
-                    std::chrono::duration<double>(t0.time_since_epoch())
-                        .count(),
-                    std::chrono::duration<double>(t1.time_since_epoch())
-                        .count());
-      return payload + " " + buf;
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "%.6f %.6f %.6f", t0, t_mark,
+                    mono_now());
+      return std::string(buf);
     };
-    std::vector<std::pair<double, double>> intervals;
+    std::vector<Interval> measured;
+    std::vector<Interval> tails;
+    std::vector<Interval> whole;
     client.on_result = [&](const Job&, const std::string& result) {
-      double id = 0.0;
       double t0 = 0.0;
+      double t_mark = 0.0;
       double t1 = 0.0;
-      EXPECT_EQ(std::sscanf(result.c_str(), "%lf %lf %lf", &id, &t0, &t1),
+      EXPECT_EQ(std::sscanf(result.c_str(), "%lf %lf %lf", &t0, &t_mark, &t1),
                 3);
-      intervals.emplace_back(t0, t1);
+      measured.emplace_back(t0, t_mark);
+      tails.emplace_back(t_mark, t1);
+      whole.emplace_back(t0, t1);
       return Disposition::Done;
     };
     client.on_failure = [&](const Job&, const JobFailure& f) {
@@ -481,23 +521,227 @@ TEST_F(PoolTest, MaxInflightCapSerializesJobExecution) {
     });
 
     EXPECT_EQ(out, PoolOutcome::Completed);
-    ASSERT_EQ(intervals.size(), 4u);
-    std::size_t overlaps = 0;
-    for (std::size_t a = 0; a < intervals.size(); ++a) {
-      for (std::size_t b = a + 1; b < intervals.size(); ++b) {
-        if (intervals[a].first < intervals[b].second &&
-            intervals[b].first < intervals[a].second) {
-          ++overlaps;
+    ASSERT_EQ(measured.size(), 4u);
+    if (c.cap == 1 && c.marks) {
+      EXPECT_EQ(count_overlaps(measured), 0u)
+          << "two jobs measured at once";
+      std::size_t tail_overlaps = 0;
+      for (const Interval& t : tails) {
+        for (const Interval& m : measured) {
+          if (overlap(t, m)) ++tail_overlaps;
         }
       }
-    }
-    if (cap == 1) {
-      EXPECT_EQ(overlaps, 0u) << "capped pool ran jobs concurrently";
+      EXPECT_GE(tail_overlaps, 1u)
+          << "no post-mark tail overlapped the next measurement";
+      EXPECT_GE(count_overlaps(whole), 1u);
+    } else if (c.cap == 1) {
+      EXPECT_EQ(count_overlaps(whole), 0u)
+          << "a client that never marks ran jobs concurrently";
     } else {
-      EXPECT_GE(overlaps, 1u) << "uncapped 2-worker pool never overlapped";
+      EXPECT_GE(count_overlaps(whole), 1u)
+          << "uncapped 2-worker pool never overlapped";
     }
+    EXPECT_EQ(pool.stats().peak_measuring, c.cap == 1 ? 1u : 2u);
     expect_no_children();
   }
+}
+
+// One measure slot, 4 workers, 8 affinity keys x 3 jobs in key order (the
+// executor's kernel-contiguous cells). New keys must spread across the
+// pool rather than pile into the lowest idle slot, and a key's jobs must
+// all stay on the worker that claimed it: every job after a key's first
+// is an affinity hit, 8 x 2 = 16, as before spreading.
+TEST_F(PoolTest, MeasureSlotSpreadsNewKeysAcrossWorkers) {
+  constexpr std::size_t kKeys = 8;
+  constexpr std::size_t kJobsPerKey = 3;
+  PoolConfig cfg;
+  cfg.workers = 4;
+  cfg.max_inflight = 1;
+  cfg.queue_capacity = kKeys * kJobsPerKey;  // the whole plan is visible
+  PoolClient client;
+  client.run_job = [](const std::string&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    WorkerPool::mark_measured();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return std::to_string(getpid());
+  };
+  std::map<std::uint64_t, std::set<std::string>> workers_of_key;
+  std::map<std::string, std::set<std::uint64_t>> keys_of_worker;
+  client.on_result = [&](const Job& job, const std::string& pid) {
+    workers_of_key[job.affinity].insert(pid);
+    keys_of_worker[pid].insert(job.affinity);
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= kKeys * kJobsPerKey) return std::nullopt;
+    Job j;
+    j.id = next;
+    j.affinity = 1 + next / kJobsPerKey;
+    ++next;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  const auto& st = pool.stats();
+  ASSERT_EQ(st.recycles, 0u);
+  EXPECT_EQ(st.jobs_completed, kKeys * kJobsPerKey);
+  EXPECT_EQ(keys_of_worker.size(), 4u) << "a worker never claimed a key";
+  ASSERT_EQ(workers_of_key.size(), kKeys);
+  for (const auto& [key, pids] : workers_of_key) {
+    EXPECT_EQ(pids.size(), 1u) << "key " << key << " left its claimant";
+  }
+  EXPECT_EQ(st.affinity_hits, kKeys * (kJobsPerKey - 1));
+  EXPECT_EQ(st.peak_measuring, 1u);
+  expect_no_children();
+}
+
+// The slot survives every way a job can end without a result. Job 1 is
+// SIGKILLed and job 3 hangs into its deadline, both while holding the
+// slot; job 5 dies after its mark but before its result. Dead workers are
+// not respawned, so only the failure itself can free the slot; the last
+// of the four workers finishes the rest. Every attempt logs its start and
+// mark to a shared file (O_APPEND lines are atomic), the supervisor
+// stamps the failures, and no two measured intervals — start to mark, or
+// start to the failure that freed the slot — may overlap, retries
+// included.
+TEST_F(PoolTest, MeasureSlotSurvivesWorkerDeathAndDeadline) {
+  const std::string log_path =
+      (std::filesystem::temp_directory_path() /
+       ("rperf_pool_slot_" + std::to_string(getpid()) + ".log"))
+          .string();
+  std::filesystem::remove(log_path);
+  constexpr std::size_t kJobs = 8;
+
+  PoolConfig cfg;
+  cfg.workers = 4;
+  cfg.max_inflight = 1;
+  cfg.max_respawns = 0;
+  cfg.job_deadline_sec = 0.4;
+  cfg.term_grace_ms = 100;
+  std::vector<int> attempts(kJobs, 0);
+  PoolClient client;
+  client.before_dispatch = [&](Job& job) {
+    const int attempt = ++attempts[job.id];
+    const char* kind = "ok";
+    if (job.id == 1 && attempt == 1) kind = "kill";
+    if (job.id == 3) kind = "hang";
+    if (job.id == 5 && attempt == 1) kind = "late";
+    job.payload = std::string(kind) + " " + std::to_string(job.id) + " " +
+                  std::to_string(attempt);
+  };
+  client.run_job = [&log_path](const std::string& payload) -> std::string {
+    char kind[8] = {0};
+    int id = 0;
+    int attempt = 0;
+    std::sscanf(payload.c_str(), "%7s %d %d", kind, &id, &attempt);
+    auto log = [&](char what) {
+      char line[96];
+      const int n = std::snprintf(line, sizeof(line), "%c %d %d %.6f\n", what,
+                                  id, attempt, mono_now());
+      const int fd = open(log_path.c_str(), O_WRONLY | O_APPEND | O_CREAT,
+                          0644);
+      if (fd >= 0) {
+        (void)!write(fd, line, static_cast<std::size_t>(n));
+        close(fd);
+      }
+    };
+    log('S');
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (std::strcmp(kind, "kill") == 0) raise(SIGKILL);
+    if (std::strcmp(kind, "hang") == 0) {
+      std::this_thread::sleep_for(std::chrono::seconds(60));
+    }
+    log('M');
+    WorkerPool::mark_measured();
+    if (std::strcmp(kind, "late") == 0) {
+      // Long enough for the other worker to take the slot first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(80));
+      raise(SIGKILL);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return "done";
+  };
+  // Supervisor-side time at which each failed attempt gave up its slot.
+  std::map<std::pair<int, int>, double> failed_at;
+  std::size_t completed = 0;
+  client.on_result = [&](const Job&, const std::string&) {
+    ++completed;
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job& job, const JobFailure& f) {
+    failed_at[{static_cast<int>(job.id), attempts[job.id]}] = mono_now();
+    if (job.id == 3) {
+      EXPECT_EQ(f.reason, FailReason::DeadlineKilled);
+      return Disposition::Done;
+    }
+    EXPECT_TRUE(job.id == 1 || job.id == 5) << "job " << job.id;
+    EXPECT_EQ(f.reason, FailReason::WorkerDied);
+    return Disposition::Retry;
+  };
+
+  // A slot that a failure never frees stalls run() for good; the alarm
+  // turns that into an Interrupted outcome instead of a hung test. (Not a
+  // watchdog thread: forking a multi-threaded parent breaks under TSan.)
+  struct sigaction on_alarm;
+  memset(&on_alarm, 0, sizeof(on_alarm));
+  on_alarm.sa_handler = [](int) { sandbox::request_interrupt(SIGALRM); };
+  sigemptyset(&on_alarm.sa_mask);
+  struct sigaction old_alarm;
+  sigaction(SIGALRM, &on_alarm, &old_alarm);
+  alarm(30);
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= kJobs) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+  alarm(0);
+  sigaction(SIGALRM, &old_alarm, nullptr);
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  EXPECT_EQ(completed, kJobs - 1);  // all but the hung job, retries included
+  EXPECT_EQ(failed_at.size(), 3u);
+  EXPECT_EQ(attempts[1], 2);
+  EXPECT_EQ(attempts[5], 2);
+  EXPECT_GE(pool.stats().deadline_kills, 1u);
+  EXPECT_GE(pool.stats().recycles, 3u);
+  EXPECT_EQ(pool.stats().peak_measuring, 1u);
+
+  std::map<std::pair<int, int>, Interval> measured;
+  std::ifstream is(log_path);
+  char what = 0;
+  int id = 0;
+  int attempt = 0;
+  double t = 0.0;
+  while (is >> what >> id >> attempt >> t) {
+    Interval& iv = measured[{id, attempt}];
+    (what == 'S' ? iv.first : iv.second) = t;
+  }
+  std::filesystem::remove(log_path);
+  for (auto& [key, iv] : measured) {
+    if (iv.second == 0.0) {
+      // Never marked: the slot was held until the failure freed it.
+      const auto f = failed_at.find(key);
+      ASSERT_NE(f, failed_at.end())
+          << "job " << key.first << " attempt " << key.second
+          << " neither marked nor failed";
+      iv.second = f->second;
+    }
+  }
+  EXPECT_EQ(measured.size(), kJobs + 2);  // every attempt, both retries
+  std::vector<Interval> all;
+  for (const auto& [key, iv] : measured) all.push_back(iv);
+  EXPECT_EQ(count_overlaps(all), 0u) << "two jobs measured at once";
+  expect_no_children();
 }
 
 // ------------------------------------------------- pool: fork degradation

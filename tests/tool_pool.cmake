@@ -14,6 +14,7 @@ execute_process(
           --isolate cell --workers 4 --retries 1
           --faults segv@Basic_DAXPY:1,hang@Stream_ADD:1
           --max-cell-seconds 3 --outdir "${WORKDIR}/out"
+          --store "${WORKDIR}/store"
   OUTPUT_VARIABLE out1
   RESULT_VARIABLE rc1)
 if(NOT rc1 EQUAL 4)
@@ -39,6 +40,24 @@ endif()
 file(READ "${WORKDIR}/out/crashes.jsonl" crashes)
 if(NOT crashes MATCHES "worker-died")
   message(FATAL_ERROR "crashes.jsonl lacks the pool failure reason:\n${crashes}")
+endif()
+# One measure slot: four workers, crashes, retries and a deadline kill,
+# yet never two cells measuring at once — in the profiles and the store.
+file(GLOB fault_profiles "${WORKDIR}/out/*.cali.json")
+list(GET fault_profiles 0 fault_profile)
+file(READ "${fault_profile}" fault_meta)
+if(NOT fault_meta MATCHES "\"pool_peak_measuring\": \"1\"")
+  message(FATAL_ERROR "profile metadata lacks pool_peak_measuring 1:\n${fault_meta}")
+endif()
+if(NOT out1 MATCHES "store: run ([0-9a-f]+) landed in")
+  message(FATAL_ERROR "fault run did not land in the store:\n${out1}")
+endif()
+execute_process(
+  COMMAND "${REPORT}" --store "${WORKDIR}/store" --run "${CMAKE_MATCH_1}"
+  OUTPUT_VARIABLE run_out
+  RESULT_VARIABLE rc_run)
+if(NOT rc_run EQUAL 0 OR NOT run_out MATCHES "summary pool_peak_measuring=1\n")
+  message(FATAL_ERROR "store run lacks pool_peak_measuring=1 (${rc_run}):\n${run_out}")
 endif()
 
 # Resume without faults: passed cells restore, the killed cell re-runs
