@@ -7,7 +7,10 @@
 namespace rperf::kernels::algorithm {
 
 RPERF_DECLARE_KERNEL(ATOMIC);
-RPERF_DECLARE_KERNEL(HISTOGRAM, std::vector<unsigned long long> m_hist;);
+RPERF_DECLARE_KERNEL(HISTOGRAM,
+                     std::vector<unsigned long long,
+                                 mem::PoolAllocator<unsigned long long>>
+                         m_hist;);
 RPERF_DECLARE_KERNEL(MEMCPY);
 RPERF_DECLARE_KERNEL(MEMSET);
 RPERF_DECLARE_KERNEL(REDUCE_SUM);

@@ -15,7 +15,7 @@ namespace rperf::kernels::apps {
 
 RPERF_DECLARE_KERNEL(CONVECTION3DPA, port::Index_type m_ne = 0;);
 RPERF_DECLARE_KERNEL(DEL_DOT_VEC_2D, port::Index_type m_dim = 0;
-                     std::vector<port::Index_type> m_zones;);
+                     suite::Index_vec m_zones;);
 RPERF_DECLARE_KERNEL(DIFFUSION3DPA, port::Index_type m_ne = 0;);
 RPERF_DECLARE_KERNEL(EDGE3D, port::Index_type m_ne = 0;);
 RPERF_DECLARE_KERNEL(ENERGY);

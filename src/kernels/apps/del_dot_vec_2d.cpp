@@ -45,14 +45,13 @@ void DEL_DOT_VEC_2D::setUp(VariantID) {
   suite::init_data_const(m_e, nn, 0.0);  // div
 
   // Real-zone indirection list: interior zones only.
-  std::vector<Index_type> zones;
-  zones.reserve(static_cast<std::size_t>((m_dim - 2) * (m_dim - 2)));
+  m_zones.resize(static_cast<std::size_t>((m_dim - 2) * (m_dim - 2)));
+  std::size_t z = 0;
   for (Index_type i = 1; i < m_dim - 1; ++i) {
     for (Index_type j = 1; j < m_dim - 1; ++j) {
-      zones.push_back(i * m_dim + j);
+      m_zones[z++] = i * m_dim + j;
     }
   }
-  m_zones = std::move(zones);
 }
 
 void DEL_DOT_VEC_2D::runVariant(VariantID vid) {

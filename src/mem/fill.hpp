@@ -15,8 +15,13 @@
 //     multiply chain into four independent ones the core can overlap.
 //
 // Because every element's value depends only on its index and the seed,
-// results are identical for any thread count, any block schedule, and for
-// cached vs freshly generated buffers.
+// results are identical for any thread count and any block schedule.
+// Regenerating in place costs about what copying a stored master copy
+// would: on a 4-vCPU VM a 7.6 MiB fill_random took 376-391 us against
+// 350-363 us for a parallel blocked copy from a warm master. A new master
+// also pays first-touch (32 MiB: 6.2 ms on 4 threads, 21 ms on 1, against
+// 1.7 ms for a warm fill), so the suite keeps no dataset cache and fills
+// in place; the pool is what keeps repeat setUp free of page faults.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +37,16 @@ inline constexpr std::int64_t kFillBlockElems = 4096;
 inline constexpr std::int64_t kParallelFillThreshold = 1 << 16;
 
 /// LCG state after `steps` applications of s -> s*A + C (numerical recipes
-/// constants, matching the suite's historical serial generator).
+/// constants, A = 1664525, C = 1013904223: the suite's serial generator).
 [[nodiscard]] std::uint32_t lcg_skip(std::uint32_t state, std::uint64_t steps);
 
 /// dst[i] = deterministic uniform double in (0, 1), for i in [0, n).
-/// Bit-identical to the historical serial `Lcg(seed).next_unit()` stream.
+/// Element i is (s_{i+1} >> 8 + 0.5) / 2^24, where s_0 = seed (0 maps to 1)
+/// and s_{k+1} = s_k*A + C: bit-identical to stepping the LCG serially.
 void fill_random(double* dst, std::int64_t n, std::uint32_t seed);
 
-/// dst[i] = deterministic uniform int in [lo, hi]; bit-identical to the
-/// historical serial `lo + Lcg(seed).next() % span` stream.
+/// dst[i] = deterministic uniform int in [lo, hi]: lo + s_{i+1} % span for
+/// the same serial LCG stream as fill_random.
 void fill_int_random(int* dst, std::int64_t n, int lo, int hi,
                      std::uint32_t seed);
 
@@ -49,9 +55,5 @@ void fill_const(double* dst, std::int64_t n, double value);
 
 /// dst[i] = lo + i * step (same expression as the historical serial ramp).
 void fill_ramp(double* dst, std::int64_t n, double lo, double step);
-
-/// Blocked copy (parallel for large n); plain memcpy semantics.
-void copy_data(double* dst, const double* src, std::int64_t n);
-void copy_data(int* dst, const int* src, std::int64_t n);
 
 }  // namespace rperf::mem

@@ -6,7 +6,8 @@
 // times per run. The pool keeps freed chunks on per-size-class free lists
 // ("reset, don't free"): a released chunk's pages stay mapped — and keep
 // their NUMA first-touch placement — so the next cell's allocation of the
-// same class is a pop, not an mmap.
+// same class is a pop, not an mmap. Once every kernel working set lives
+// here, setUp after the first cell of a size class faults no new pages.
 //
 //   * chunks are 64-byte aligned (cache line / AVX-512 friendly);
 //   * size classes are powers of two from 64 bytes up, so a kernel whose
@@ -14,14 +15,9 @@
 //   * stats track bytes in use, reserved bytes, high-water marks, and
 //     free-list reuse hits (surfaced per cell as `pool_hit` and per run in
 //     profile metadata);
-//   * the PR-1 fault injector's `alloc@KERNEL` hook is routed through
+//   * the fault injector's `alloc@KERNEL` hook is routed through
 //     `Pool::allocate`, so injected allocation failures keep firing on the
-//     exact same code path real ones would take;
-//   * `set_enabled(false)` degrades to plain aligned new/delete (the
-//     pre-pool behavior) — used by bench/sweep_throughput to measure the
-//     pooled-vs-legacy delta. Each chunk carries a header naming the path
-//     that produced it, so flipping the mode mid-process never mismatches
-//     allocate/deallocate pairs.
+//     exact same code path real ones would take.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +66,7 @@ class Pool {
   /// here), then serves from the matching free list when possible.
   void* allocate(std::size_t bytes);
 
-  /// Return a chunk. Pooled chunks go back on their free list; chunks
-  /// allocated while the pool was disabled are freed to the OS.
+  /// Return a chunk to its free list.
   void deallocate(void* p, std::size_t bytes) noexcept;
 
   /// Trim: free every cached (free-list) chunk to the OS. Live chunks are
@@ -82,27 +77,12 @@ class Pool {
   /// Zero the counters; high-water restarts from the current in-use bytes.
   void reset_stats();
 
-  /// Disabled = plain aligned new/delete per call (legacy behavior); the
-  /// fault hook and stats still fire. Chunks already on free lists are
-  /// released.
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const;
-
  private:
-  struct Header {
-    std::uint64_t magic = 0;
-    std::size_t chunk_bytes = 0;  ///< rounded (size-class) payload bytes
-  };
-  static constexpr std::uint64_t kMagicPooled = 0x52504D454D504Cull;
-  static constexpr std::uint64_t kMagicPassthrough = 0x52504D454D5054ull;
-
   [[nodiscard]] static std::size_t class_index(std::size_t class_bytes);
-  [[nodiscard]] static void* os_allocate(std::size_t class_bytes,
-                                         std::uint64_t magic);
+  [[nodiscard]] static void* os_allocate(std::size_t class_bytes);
   static void os_free(void* raw) noexcept;
 
   mutable std::mutex mutex_;
-  bool enabled_ = true;
   std::vector<std::vector<void*>> free_lists_;  ///< raw (header) pointers
   PoolStats stats_;
 };

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -50,24 +51,29 @@ class RangeStrideSegment {
 };
 
 /// Explicit list of indices, in iteration order (may repeat, any order).
+/// Built from a vector, the segment owns its indices (copies share them).
+/// Built from a pointer and a count, it is a view of storage the caller
+/// keeps alive, like RAJA's unowned list segments: constructing one copies
+/// and allocates nothing, so a kernel may build it inside its timed loop.
 class ListSegment {
  public:
   ListSegment() = default;
   explicit ListSegment(std::vector<Index_type> indices)
-      : indices_(std::move(indices)) {}
+      : owned_(std::make_shared<const std::vector<Index_type>>(
+            std::move(indices))),
+        data_(owned_->data()),
+        size_(static_cast<Index_type>(owned_->size())) {}
   ListSegment(const Index_type* data, std::size_t count)
-      : indices_(data, data + count) {}
+      : data_(data), size_(static_cast<Index_type>(count)) {}
 
-  [[nodiscard]] Index_type size() const {
-    return static_cast<Index_type>(indices_.size());
-  }
-  [[nodiscard]] const Index_type* data() const { return indices_.data(); }
-  [[nodiscard]] Index_type operator[](Index_type i) const {
-    return indices_[static_cast<std::size_t>(i)];
-  }
+  [[nodiscard]] Index_type size() const { return size_; }
+  [[nodiscard]] const Index_type* data() const { return data_; }
+  [[nodiscard]] Index_type operator[](Index_type i) const { return data_[i]; }
 
  private:
-  std::vector<Index_type> indices_;
+  std::shared_ptr<const std::vector<Index_type>> owned_;
+  const Index_type* data_ = nullptr;
+  Index_type size_ = 0;
 };
 
 }  // namespace rperf::port

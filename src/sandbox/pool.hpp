@@ -93,7 +93,7 @@ struct Job {
   /// Dispatch-affinity key (0 = none). Jobs sharing a nonzero key prefer
   /// the worker that last ran that key, and a key "claimed" by a live
   /// worker is not spread across others while that worker can take it —
-  /// so per-key warm state (dataset caches, allocator arenas) is built
+  /// so per-key warm state (allocator arenas, first-touched pages) is built
   /// once per pool instead of once per worker.
   std::uint64_t affinity = 0;
 };

@@ -23,7 +23,6 @@
 #include "instrument/trace_sink.hpp"
 #include "instrument/wire_codec.hpp"
 #include "machine/machine.hpp"
-#include "mem/cache.hpp"
 #include "mem/pool.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
@@ -40,16 +39,13 @@ std::string cell_span_name(const std::string& kernel, VariantID vid,
   return kernel + " [" + to_string(vid) + "/" + tuning_name + "]";
 }
 
-/// Sample the counter tracks (cumulative pool/cache hits and injected
-/// faults) onto the trace timeline; called after each finished cell so
+/// Sample the counter tracks (cumulative pool hits and injected faults) onto the trace timeline; called after each finished cell so
 /// the tracks step in sync with the spans.
 void sample_trace_counters() {
   cali::TraceSink& sink = cali::TraceSink::instance();
   if (!sink.enabled()) return;
   sink.counter(sink.intern("pool_hits"),
                static_cast<double>(mem::pool().stats().reuse_hits));
-  sink.counter(sink.intern("cache_hits"),
-               static_cast<double>(mem::data_cache().stats().hits));
   sink.counter(sink.intern("fault_fires"),
                static_cast<double>(faults::injector().fires()));
 }
@@ -303,7 +299,6 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
   r.setup_ms = cell.kernel->last_setup_sec() * 1e3;
   r.checksum_ms = cell.kernel->last_checksum_sec() * 1e3;
   r.pool_hits = cell.kernel->last_pool_hits();
-  r.cache_hits = cell.kernel->last_cache_hits();
   if (params_.hwc) {
     if (hwc_service.regions_observed() > 0) {
       // Measured: the service already attributed multiplex-scaled PAPI
@@ -596,7 +591,6 @@ void Executor::run() {
   // Fresh memory-subsystem counters so per-run metadata describes this
   // sweep only (the pool keeps its cached chunks — that reuse is the point).
   mem::pool().reset_stats();
-  mem::data_cache().reset_stats();
 
   // The sweep plan: every (kernel, variant, tuning) cell passing filters.
   std::vector<Cell> cells;
@@ -680,7 +674,6 @@ void Executor::run() {
   // Run-level metadata (the Adiak substitute), plus the failure taxonomy
   // of each (variant, tuning) slice of the sweep.
   const mem::PoolStats pool_stats = mem::pool().stats();
-  const mem::CacheStats cache_stats = mem::data_cache().stats();
   for (auto& [key, channel] : channels_) {
     channel.set_metadata("variant", to_string(key.first));
     channel.set_metadata("tuning", key.second);
@@ -800,10 +793,6 @@ void Executor::run() {
                          std::to_string(pool_stats.alloc_calls));
     channel.set_metadata("pool_reuse_hits",
                          std::to_string(pool_stats.reuse_hits));
-    channel.set_metadata("cache_hits", std::to_string(cache_stats.hits));
-    channel.set_metadata("cache_misses", std::to_string(cache_stats.misses));
-    channel.set_metadata("cache_stored_bytes",
-                         std::to_string(cache_stats.stored_bytes));
     for (const auto& [k, v] : params_.metadata) {
       channel.set_metadata(k, v);
     }
@@ -1680,7 +1669,7 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // tearDown run alone on the machine (OpenMP cells start all-core teams,
   // Stream cells saturate DRAM), while the previous cell's profile,
   // encode, transfer and store append overlap them. The other workers
-  // hold warm dataset-cache partitions and serve as crash-containment
+  // hold warm pool chunks for their kernels and serve as crash-containment
   // spares. Trade-off: a hung cell stalls the sweep until
   // --max-cell-seconds (or the heartbeat timeout) frees the slot.
   cfg.max_inflight = 1;
@@ -1720,7 +1709,7 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     if (next >= jobs.size()) return std::nullopt;
     sandbox::Job job;
     // Cells of one kernel share a dispatch-affinity key, steering them to
-    // the worker whose dataset cache that kernel already warmed.
+    // the worker whose pool already holds that kernel's size classes.
     job.affinity = affinity_key(jobs[next].r.kernel);
     job.id = next++;
     return job;  // payload is filled by before_dispatch

@@ -71,10 +71,13 @@ struct RunResult {
 
   // Setup-cost observability (rperf::mem): milliseconds spent initializing
   // data / computing checksums across all passes, and how much of the
-  // working set came from the pool free lists / dataset cache.
+  // working set came from the pool free lists.
   double setup_ms = 0.0;
   double checksum_ms = 0.0;
   std::uint64_t pool_hits = 0;
+  /// Always 0: the dataset cache is gone. The field, its wire slot and its
+  /// JSON key stay for perfbench/driver.cpp (and protocol compatibility)
+  /// and retire with the next change to the benchmark.
   std::uint64_t cache_hits = 0;
 
   /// Hardware-counter totals for this cell (RunParams::hwc): measured via

@@ -1,5 +1,5 @@
-// Tests for the rperf::mem subsystem: size-class pool, dataset cache,
-// deterministic fills, and the blocked checksum's thread invariance.
+// Tests for the rperf::mem subsystem: size-class pool, deterministic fills,
+// and the blocked checksum's thread invariance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <omp.h>
 
 #include "faults/injector.hpp"
-#include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
 #include "suite/data_utils.hpp"
@@ -17,6 +16,34 @@
 namespace {
 
 using namespace rperf;
+
+/// Reference serial LCG (numerical recipes constants, zero seed mapped to
+/// 1): the stream the blocked jump-ahead fills must reproduce bit for bit.
+class SerialLcg {
+ public:
+  explicit SerialLcg(std::uint32_t seed) : state_(seed ? seed : 1u) {}
+  std::uint32_t next() {
+    state_ = state_ * 1664525u + 1013904223u;
+    return state_;
+  }
+  double next_unit() {
+    return (static_cast<double>(next() >> 8) + 0.5) / 16777216.0;
+  }
+
+ private:
+  std::uint32_t state_;
+};
+
+/// Reference checksum: element at a time in long double, weights
+/// (i % 7) + 1. The blocked checksum may differ from it only by rounding.
+long double checksum_elementwise(const double* data, suite::Index_type n) {
+  long double sum = 0.0L;
+  for (suite::Index_type i = 0; i < n; ++i) {
+    sum += static_cast<long double>(data[i]) *
+           static_cast<long double>((i % 7) + 1);
+  }
+  return sum;
+}
 
 // ---------------------------------------------------------------- pool
 
@@ -83,36 +110,13 @@ TEST(MemPool, ReleaseTrimsFreeLists) {
   EXPECT_EQ(pool.stats().bytes_in_use, 0u);
 }
 
-TEST(MemPool, DisabledModeIsPassthroughAndCrossModeDeallocIsSafe) {
-  mem::Pool pool;
-  // Chunk born pooled, freed while disabled: goes to the OS, not a list.
-  void* pooled = pool.allocate(256);
-  pool.set_enabled(false);
-  pool.deallocate(pooled, 256);
-  EXPECT_EQ(pool.stats().bytes_free, 0u);
-
-  // Chunk born passthrough, freed after re-enabling: header routes it to
-  // the OS rather than poisoning a free list.
-  void* pass = pool.allocate(256);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pass) % 64, 0u);
-  pool.set_enabled(true);
-  pool.deallocate(pass, 256);
-  EXPECT_EQ(pool.stats().bytes_free, 0u);
-
-  // Disabled mode never reuses.
-  pool.set_enabled(false);
-  void* a = pool.allocate(256);
-  pool.deallocate(a, 256);
-  void* b = pool.allocate(256);
-  pool.deallocate(b, 256);
-  EXPECT_EQ(pool.stats().reuse_hits, 0u);
-}
-
 TEST(MemPool, PoolAllocatorVectorsAreAligned) {
   suite::Real_vec v(1000);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
   suite::Int_vec w(1000);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % 64, 0u);
+  suite::Index_vec x(1000);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(x.data()) % 64, 0u);
 }
 
 // ---------------------------------------------------------------- fills
@@ -121,11 +125,9 @@ TEST(MemFill, RandomBitIdenticalToSerialLcg) {
   for (std::int64_t n : {1, 5, 4095, 4096, 4097, 100000}) {
     std::vector<double> fast(static_cast<std::size_t>(n));
     mem::fill_random(fast.data(), n, 31u);
-    std::uint32_t state = 31u;
+    SerialLcg lcg(31u);
     for (std::int64_t i = 0; i < n; ++i) {
-      state = state * 1664525u + 1013904223u;
-      const double ref =
-          (static_cast<double>(state >> 8) + 0.5) / 16777216.0;
+      const double ref = lcg.next_unit();
       ASSERT_EQ(0, std::memcmp(&fast[static_cast<std::size_t>(i)], &ref,
                                sizeof(double)))
           << "n=" << n << " i=" << i;
@@ -137,12 +139,11 @@ TEST(MemFill, IntRandomBitIdenticalToSerialLcg) {
   const std::int64_t n = 50000;
   std::vector<int> fast(static_cast<std::size_t>(n));
   mem::fill_int_random(fast.data(), n, -3, 11, 1201u);
-  std::uint32_t state = 1201u;
+  SerialLcg lcg(1201u);
   const std::uint32_t span = static_cast<std::uint32_t>(11 - (-3)) + 1u;
   for (std::int64_t i = 0; i < n; ++i) {
-    state = state * 1664525u + 1013904223u;
     ASSERT_EQ(fast[static_cast<std::size_t>(i)],
-              -3 + static_cast<int>(state % span))
+              -3 + static_cast<int>(lcg.next() % span))
         << i;
   }
 }
@@ -150,80 +151,18 @@ TEST(MemFill, IntRandomBitIdenticalToSerialLcg) {
 TEST(MemFill, ZeroSeedNormalizedLikeSerialLcg) {
   double a = 0.0, b = 0.0;
   mem::fill_random(&a, 1, 0u);
-  mem::fill_random(&b, 1, 1u);  // serial Lcg mapped seed 0 to 1
+  mem::fill_random(&b, 1, 1u);  // the serial LCG maps seed 0 to 1
   EXPECT_EQ(a, b);
+  EXPECT_EQ(a, SerialLcg(0u).next_unit());
 }
 
 TEST(MemFill, LcgSkipMatchesStepping) {
+  SerialLcg lcg(7u);
   std::uint32_t state = 7u;
   for (std::uint64_t k = 0; k <= 100; ++k) {
     EXPECT_EQ(mem::lcg_skip(7u, k), state) << k;
-    state = state * 1664525u + 1013904223u;
+    state = lcg.next();
   }
-}
-
-// ---------------------------------------------------------------- cache
-
-TEST(MemCache, HitOnSameKeyMissOnDifferentKey) {
-  mem::DataCache cache;
-  const std::int64_t n = 8192;  // above kMinElems
-  std::vector<double> a(static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n));
-
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // miss: generates
-  EXPECT_TRUE(cache.fill_random(b.data(), n, 31u));   // hit: copies
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                           static_cast<std::size_t>(n) * sizeof(double)));
-
-  // Different seed, different n, different pattern: all distinct keys.
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 37u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n / 2, 31u));
-  std::vector<int> ints(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_int_random(ints.data(), n, 0, 9, 31u));
-  EXPECT_FALSE(cache.fill_int_random(ints.data(), n, 0, 10, 31u));  // range
-  EXPECT_TRUE(cache.fill_int_random(ints.data(), n, 0, 10, 31u));
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_GT(s.stored_bytes, 0u);
-}
-
-TEST(MemCache, SmallDatasetsAreNotCached) {
-  mem::DataCache cache;
-  const std::int64_t n = 64;  // below kMinElems
-  std::vector<double> a(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // still a generate
-  EXPECT_EQ(cache.stats().stored_bytes, 0u);
-}
-
-TEST(MemCache, CapacityBoundSkipsStores) {
-  mem::DataCache cache;
-  cache.set_capacity_bytes(16 * 1024);
-  const std::int64_t n = 8192;  // 64 KiB > capacity
-  std::vector<double> a(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // not stored -> miss
-  EXPECT_EQ(cache.stats().stored_bytes, 0u);
-
-  // Data is still correct even when the store is skipped.
-  std::uint32_t state = 31u;
-  state = state * 1664525u + 1013904223u;
-  EXPECT_EQ(a[0], (static_cast<double>(state >> 8) + 0.5) / 16777216.0);
-}
-
-TEST(MemCache, CachedAndFreshBuffersAreBitIdentical) {
-  mem::DataCache cache;
-  const std::int64_t n = 10000;
-  std::vector<double> fresh(static_cast<std::size_t>(n));
-  mem::fill_random(fresh.data(), n, 1409u);
-
-  std::vector<double> first(static_cast<std::size_t>(n));
-  std::vector<double> cached(static_cast<std::size_t>(n));
-  cache.fill_random(first.data(), n, 1409u);
-  ASSERT_TRUE(cache.fill_random(cached.data(), n, 1409u));
-  EXPECT_EQ(0, std::memcmp(fresh.data(), cached.data(),
-                           static_cast<std::size_t>(n) * sizeof(double)));
 }
 
 // ------------------------------------------------------------- checksum
@@ -268,13 +207,11 @@ TEST(MemChecksum, MatchesLegacyWithinRounding) {
   mem::fill_random(data.data(), n, 1747u);
 
   const long double blocked = suite::calc_checksum(data.data(), n);
-  suite::set_legacy_setup(true);
-  const long double legacy = suite::calc_checksum(data.data(), n);
-  suite::set_legacy_setup(false);
+  const long double elementwise = checksum_elementwise(data.data(), n);
 
-  EXPECT_TRUE(suite::checksums_match(blocked, legacy, 1e-12))
+  EXPECT_TRUE(suite::checksums_match(blocked, elementwise, 1e-12))
       << "blocked=" << static_cast<double>(blocked)
-      << " legacy=" << static_cast<double>(legacy);
+      << " elementwise=" << static_cast<double>(elementwise);
 }
 
 TEST(MemChecksum, DetectsPermutation) {

@@ -49,6 +49,22 @@ TEST(ListSegment, IteratesInGivenOrder) {
   EXPECT_EQ(seen, (std::vector<Index_type>{4, 2, 7, 2}));
 }
 
+TEST(ListSegment, PointerConstructorViewsAndOwnedCopiesShare) {
+  const std::vector<Index_type> storage{5, 3, 1};
+  const ListSegment view(storage.data(), storage.size());
+  EXPECT_EQ(view.data(), storage.data());  // no copy
+  EXPECT_EQ(view.size(), 3);
+
+  ListSegment copy;
+  {
+    const ListSegment owned(std::vector<Index_type>{9, 8});
+    copy = owned;
+  }
+  ASSERT_EQ(copy.size(), 2);  // outlives the segment it was copied from
+  EXPECT_EQ(copy[0], 9);
+  EXPECT_EQ(copy[1], 8);
+}
+
 // ------------------------------------------------------------------ forall
 
 template <typename Policy>
