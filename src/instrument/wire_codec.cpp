@@ -31,6 +31,7 @@ ProfileNode node_from_wire(wire::Reader& r, int depth) {
   }
   const std::uint32_t nchildren = r.get_u32();
   r.check_count(nchildren, 24);
+  n.children.reserve(nchildren);
   for (std::uint32_t i = 0; i < nchildren; ++i) {
     n.children.push_back(node_from_wire(r, depth + 1));
   }
@@ -59,6 +60,7 @@ Profile profile_from_wire(wire::Reader& r) {
   }
   const std::uint32_t nroots = r.get_u32();
   r.check_count(nroots, 24);
+  p.roots.reserve(nroots);
   for (std::uint32_t i = 0; i < nroots; ++i) {
     p.roots.push_back(node_from_wire(r, 0));
   }

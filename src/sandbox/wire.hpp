@@ -36,6 +36,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rperf::wire {
@@ -202,10 +203,13 @@ class Reader {
     return v;
   }
 
-  std::string get_bytes() {
+  std::string get_bytes() { return std::string(get_bytes_view()); }
+
+  /// get_bytes() without the copy: a view into the borrowed buffer.
+  std::string_view get_bytes_view() {
     const std::uint32_t n = get_u32();
     need(n);
-    std::string out(p_, n);
+    const std::string_view out(p_, n);
     p_ += n;
     return out;
   }

@@ -301,13 +301,6 @@ FooterProbe classify_footer_stop(std::string_view data, std::size_t pos) {
 // ---------------------------------------------------------------------------
 // Manifest
 
-const ManifestSegment* Manifest::segment(const std::string& name) const {
-  for (const auto& seg : segments) {
-    if (seg.name == name) return &seg;
-  }
-  return nullptr;
-}
-
 std::string encode_manifest(const Manifest& manifest) {
   wire::Writer w;
   w.set_self_contained(true);

@@ -146,8 +146,6 @@ struct ManifestSegment {
 struct Manifest {
   std::uint32_t version = kManifestVersion;
   std::vector<ManifestSegment> segments;  ///< ledger (name) order
-
-  [[nodiscard]] const ManifestSegment* segment(const std::string& name) const;
 };
 
 [[nodiscard]] std::string encode_manifest(const Manifest& manifest);

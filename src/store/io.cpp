@@ -153,22 +153,36 @@ void atomic_rename(const std::string& from, const std::string& to) {
 }
 
 std::string read_file(const std::string& path) {
+  std::string out;
+  read_file_into(path, out);
+  return out;
+}
+
+void read_file_into(const std::string& path, std::string& out) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw_errno("open", path);
-  std::string out;
-  char buf[1 << 16];
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    throw_errno("fstat", path);
+  }
+  // Read to EOF, not to the fstat size: a file still being appended to
+  // may have grown since.
+  out.resize(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t got = 0;
   for (;;) {
-    const ssize_t rc = ::read(fd, buf, sizeof(buf));
+    if (got == out.size()) out.resize(out.size() * 2);
+    const ssize_t rc = ::read(fd, out.data() + got, out.size() - got);
     if (rc < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       throw_errno("read", path);
     }
     if (rc == 0) break;
-    out.append(buf, static_cast<std::size_t>(rc));
+    got += static_cast<std::size_t>(rc);
   }
   ::close(fd);
-  return out;
+  out.resize(got);
 }
 
 void atomic_write_file(const std::string& path, const std::string& content) {

@@ -125,6 +125,13 @@ void atomic_rename(const std::string& from, const std::string& to);
 /// Whole-file read; throws IoError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
 
+/// Whole-file read into `out`, reusing its capacity (one fstat-sized
+/// read, no intermediate copy). A scan that decodes every byte of many
+/// files reads them this way rather than mapping each one: munmap in a
+/// multi-threaded process costs a TLB shootdown on every core running
+/// it, which serialises a parallel scan. Throws IoError when unreadable.
+void read_file_into(const std::string& path, std::string& out);
+
 /// Crash-atomic whole-file replace: write `content` to `path`.tmp,
 /// fsync, rename over `path`, fsync the directory. A crash at any point
 /// leaves either the old or the new file, never a torn mix.

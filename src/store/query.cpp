@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "store/io.hpp"
@@ -70,6 +72,16 @@ void StoreQuery::build_catalog() {
     }
   }
 
+  // Name -> manifest entry, built once: every segment is looked up, and
+  // a linear search per segment made the indexed catalog quadratic in
+  // the ledger length. Each entry is consumed (moved from) at most once,
+  // because directory names are unique.
+  std::unordered_map<std::string_view, ManifestSegment*> by_name;
+  if (manifest) {
+    by_name.reserve(manifest->segments.size());
+    for (auto& seg : manifest->segments) by_name.emplace(seg.name, &seg);
+  }
+
   std::uint64_t prev_seq = 0;
   for (const auto& name : names) {
     const std::string path = dir_ + "/" + name;
@@ -79,16 +91,16 @@ void StoreQuery::build_catalog() {
     bool served = false;
 
     // Source 1: a manifest entry that still matches the file on disk.
-    const ManifestSegment* m =
-        manifest ? manifest->segment(name) : nullptr;
+    const auto found = by_name.find(name);
+    ManifestSegment* m = found == by_name.end() ? nullptr : found->second;
     if (m != nullptr) {
       std::error_code ec;
       const auto size = fs::file_size(path, ec);
       if (!ec && size == m->file_size) {
-        for (const auto& r : m->runs) catalog_.push_back({r, name, -1});
+        for (auto& r : m->runs) catalog_.push_back({std::move(r), name, -1});
         info.indexed = true;
         info.bloom_valid = true;
-        info.kernels = m->kernels;
+        info.kernels = std::move(m->kernels);
         if (!m->runs.empty()) prev_seq = m->last_seq;
         served = true;
       } else {
@@ -229,7 +241,7 @@ const std::vector<StoredRun>& StoreQuery::all_runs() {
     all_ = decoded_;
     return *all_;
   }
-  LedgerScan scan = scan_ledger(dir_, opt_.threads);
+  LedgerScan scan = scan_ledger(dir_, opt_.threads, /*keep_index=*/false);
   if (!scan.damaged.empty()) {
     throw CorruptError("store: sealed segment damage in '" + dir_ + "' (" +
                        joined_problems(scan.segment_problems) + ")");

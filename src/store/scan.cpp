@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <variant>
 
 #include "instrument/wire_codec.hpp"
 #include "sandbox/wire.hpp"
@@ -35,11 +36,11 @@ struct PendingOp {
   RecordType type = RecordType::RunHeader;
   std::uint64_t seq = 0;
   std::uint64_t offset = 0;  ///< frame offset in the file
-  StoredRun run;             // RunHeader
-  CellRecord cell;           // CellResult
-  StoredProfile profile;     // ProfileRegion
-  CounterRecord counters;    // CounterSet
-  std::map<std::string, double> summary;  // TraceSummary
+  /// The payload `type` names: RunHeader, CellResult, ProfileRegion,
+  /// CounterSet, TraceSummary (trace summary map), in that order.
+  std::variant<StoredRun, CellRecord, StoredProfile, CounterRecord,
+               std::map<std::string, double>>
+      body;
 };
 
 struct ScanState {
@@ -50,13 +51,17 @@ struct ScanState {
   std::uint64_t last_seq = 0;       ///< seq of last structurally valid record
   std::uint64_t committed_seq = 0;  ///< seq of last *applied* marker
   std::size_t committed_cells = 0;
+  const std::vector<FooterRun>* footer_runs = nullptr;  ///< capacity hints
+  std::size_t max_records = 0;  ///< frames the region can hold at most
 };
 
 /// Run id the next marker must name: a pending header wins over the
 /// open committed run.
 const std::string* current_run_id(const ScanState& st) {
   for (auto it = st.pending.rbegin(); it != st.pending.rend(); ++it) {
-    if (it->type == RecordType::RunHeader) return &it->run.run_id;
+    if (it->type == RecordType::RunHeader) {
+      return &std::get<StoredRun>(it->body).run_id;
+    }
   }
   if (st.open_run >= 0) return &st.runs[st.open_run].run_id;
   return nullptr;
@@ -76,18 +81,19 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
         op.type = type;
         op.seq = seq;
         op.offset = offset;
-        op.run.run_id = r.get_bytes();
+        StoredRun& run = std::get<StoredRun>(op.body);
+        run.run_id = r.get_bytes();
         const std::uint32_t n = r.get_u32();
         r.check_count(n, 8);
         for (std::uint32_t i = 0; i < n; ++i) {
           const std::string key = r.get_bytes();
-          op.run.config[key] = r.get_bytes();
+          run.config[key] = r.get_bytes();
         }
-        if (op.run.run_id != run_config_id(op.run.config)) {
+        if (run.run_id != run_config_id(run.config)) {
           why = "run id does not match its config hash";
           return false;
         }
-        op.run.file = file;
+        run.file = file;
         st.pending.push_back(std::move(op));
         return true;
       }
@@ -104,21 +110,23 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
         op.seq = seq;
         op.offset = offset;
         if (type == RecordType::CellResult) {
-          op.cell = decode_cell_payload(payload);
+          op.body = decode_cell_payload(payload);
         } else if (type == RecordType::ProfileRegion) {
           wire::Reader r(payload.data(), payload.size());
-          op.profile.variant = r.get_bytes();
-          op.profile.tuning = r.get_bytes();
-          op.profile.profile = cali::profile_from_wire(r);
+          auto& profile = op.body.emplace<StoredProfile>();
+          profile.variant = r.get_bytes();
+          profile.tuning = r.get_bytes();
+          profile.profile = cali::profile_from_wire(r);
         } else if (type == RecordType::CounterSet) {
-          op.counters = decode_counter_payload(payload);
+          op.body = decode_counter_payload(payload);
         } else {
           wire::Reader r(payload.data(), payload.size());
+          auto& summary = op.body.emplace<std::map<std::string, double>>();
           const std::uint32_t n = r.get_u32();
           r.check_count(n, 12);
           for (std::uint32_t i = 0; i < n; ++i) {
             const std::string key = r.get_bytes();
-            op.summary[key] = r.get_f64();
+            summary[key] = r.get_f64();
           }
         }
         st.pending.push_back(std::move(op));
@@ -128,7 +136,7 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
         wire::Reader r(payload.data(), payload.size());
         const std::uint64_t covers = r.get_u64();
         const bool final_marker = r.get_u8() != 0;
-        const std::string marker_run = r.get_bytes();
+        const std::string_view marker_run = r.get_bytes_view();
         // A marker commits nothing unless it provably belongs exactly
         // here: it must cover its immediate predecessor and name the
         // run that is actually open. A stale or relocated marker (torn
@@ -146,34 +154,48 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
         for (auto& op : st.pending) {
           switch (op.type) {
             case RecordType::RunHeader: {
+              StoredRun& run = std::get<StoredRun>(op.body);
               RunIndexInfo info;
-              info.entry.run_id = op.run.run_id;
+              info.entry.run_id = run.run_id;
               info.entry.first_offset = op.offset;
               info.entry.min_seq = op.seq;
-              st.runs.push_back(std::move(op.run));
+              const std::size_t k = st.runs.size();
+              if (st.footer_runs != nullptr && k < st.footer_runs->size() &&
+                  (*st.footer_runs)[k].first_offset == op.offset) {
+                const std::size_t cells = std::min<std::size_t>(
+                    (*st.footer_runs)[k].cells, st.max_records);
+                run.cells.reserve(cells);
+                info.kernels.reserve(cells);
+              }
+              st.runs.push_back(std::move(run));
               st.index.push_back(std::move(info));
               st.open_run = static_cast<int>(st.runs.size()) - 1;
               break;
             }
-            case RecordType::CellResult:
-              st.index[st.open_run].kernels.push_back(op.cell.kernel);
+            case RecordType::CellResult: {
+              CellRecord& cell = std::get<CellRecord>(op.body);
+              st.index[st.open_run].kernels.push_back(cell.kernel);
               ++st.index[st.open_run].entry.cells;
-              st.runs[st.open_run].cells.push_back(std::move(op.cell));
+              st.runs[st.open_run].cells.push_back(std::move(cell));
               ++st.committed_cells;
               break;
+            }
             case RecordType::ProfileRegion:
               ++st.index[st.open_run].entry.profiles;
-              st.runs[st.open_run].profiles.push_back(std::move(op.profile));
+              st.runs[st.open_run].profiles.push_back(
+                  std::move(std::get<StoredProfile>(op.body)));
               break;
             case RecordType::CounterSet:
               // Deliberately not indexed: the footer entry layout predates
               // counter records and stays fixed; queries reach counters
               // through their run.
-              st.runs[st.open_run].counters.push_back(std::move(op.counters));
+              st.runs[st.open_run].counters.push_back(
+                  std::move(std::get<CounterRecord>(op.body)));
               break;
             case RecordType::TraceSummary:
               ++st.index[st.open_run].entry.summaries;
-              st.runs[st.open_run].trace_summary = std::move(op.summary);
+              st.runs[st.open_run].trace_summary =
+                  std::move(std::get<std::map<std::string, double>>(op.body));
               break;
             case RecordType::CommitMarker:
               break;  // never pending
@@ -209,10 +231,13 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
 RecordsScan scan_records(std::string_view data, std::size_t begin,
                          std::size_t end, std::uint64_t prev_seq,
                          const std::string& file,
-                         std::uint64_t stop_after_seq) {
+                         std::uint64_t stop_after_seq,
+                         const std::vector<FooterRun>* footer_runs) {
   RecordsScan out;
   ScanState st;
   st.last_seq = prev_seq;
+  st.footer_runs = footer_runs;
+  st.max_records = end > begin ? (end - begin) / (kFrameBytes + kMinBody) : 0;
   out.committed_end = begin;
   std::size_t pos = begin;
   bool first = true;
@@ -297,7 +322,11 @@ SegmentScan scan_segment_image(std::string_view data,
     return seg;
   }
   seg.footer = probe_footer(data);
-  seg.rec = scan_records(data, kHeaderBytes, seg.footer.records_end, 0, name);
+  seg.rec = scan_records(data, kHeaderBytes, seg.footer.records_end, 0, name,
+                         0,
+                         seg.footer.status == FooterProbe::Status::Valid
+                             ? &seg.footer.footer.runs
+                             : nullptr);
   if (!seg.rec.clean && seg.footer.records_end == data.size()) {
     // The EOF trailer was unusable, so the scan ran to EOF — it may have
     // stopped at a footer whose trailer is damaged or cut short. If all
@@ -346,7 +375,8 @@ unsigned scan_threads(unsigned requested, std::size_t files) {
       std::min<std::size_t>(t == 0 ? 1 : t, files));
 }
 
-LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
+LedgerScan scan_ledger(const std::string& dir, unsigned threads,
+                       bool keep_index) {
   LedgerScan out;
   std::vector<std::string> paths;
   if (fs::is_directory(dir)) {
@@ -364,40 +394,51 @@ LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
   std::sort(paths.begin(), paths.end());
   out.segments.resize(paths.size());
 
-  auto scan_one = [&](std::size_t i) {
+  // Every byte of every segment is decoded, so each worker reads whole
+  // files into one reused buffer; mapping them instead would serialise
+  // the workers on munmap's cross-core TLB shootdowns.
+  auto scan_one = [&](std::size_t i, std::string& image) {
     const std::string name = fs::path(paths[i]).filename().string();
     try {
-      MappedFile map(paths[i]);
-      out.segments[i] = scan_segment_image(map.view(), name);
+      read_file_into(paths[i], image);
+      out.segments[i] = scan_segment_image(image, name);
+      if (!keep_index) {
+        out.segments[i].rec.index = {};
+        out.segments[i].footer.footer = {};
+      }
     } catch (const std::exception& e) {
       out.segments[i].name = name;
       out.segments[i].problem = name + ": " + e.what();
       out.segments[i].data_clean = false;
     }
   };
+  // The calling thread is one of the `workers` scanners: it starts on
+  // the first segment at once instead of idling while helpers spawn.
   const unsigned workers = scan_threads(threads, paths.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < paths.size(); ++i) scan_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < paths.size();
-             i = next.fetch_add(1)) {
-          scan_one(i);
-        }
-      });
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    std::string image;
+    for (std::size_t i = next.fetch_add(1); i < paths.size();
+         i = next.fetch_add(1)) {
+      scan_one(i, image);
     }
-    for (auto& th : pool) th.join();
-  }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  for (unsigned w = 1; w < workers; ++w) helpers.emplace_back(drain);
+  drain();
+  for (auto& th : helpers) th.join();
 
   // Deterministic join in ledger order: re-apply the cross-file sequence
   // rule the sequential scan enforced at each file boundary. A segment
   // whose first seq does not move forward is damaged and contributes
   // nothing (its bytes replay earlier history); any other segment —
   // including a damaged one — contributes its committed prefix.
+  std::size_t decoded_runs = 0;
+  for (const SegmentScan& seg : out.segments) {
+    decoded_runs += seg.rec.runs.size();
+  }
+  out.runs.reserve(decoded_runs);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < out.segments.size(); ++i) {
     SegmentScan& seg = out.segments[i];

@@ -14,7 +14,9 @@
 // of a file may only jump forward), so segment scans fan out across a
 // small thread pool and are joined in ledger order with the cross-file
 // sequence check re-applied at the join — the result is bit-identical
-// to the sequential scan for any thread count.
+// to the sequential scan for any thread count. It reads each segment
+// whole (store::read_file_into) instead of mapping it, since it decodes
+// every byte anyway.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +56,15 @@ struct RecordsScan {
 /// first record's seq must exceed `prev_seq`; later seqs step by
 /// exactly 1. A nonzero `stop_after_seq` ends the scan cleanly right
 /// after the marker with that seq is applied (point lookups).
-[[nodiscard]] RecordsScan scan_records(std::string_view data,
-                                       std::size_t begin, std::size_t end,
-                                       std::uint64_t prev_seq,
-                                       const std::string& file,
-                                       std::uint64_t stop_after_seq = 0);
+/// `footer_runs`, when given, are the segment footer's claims in append
+/// order; they only size each run's cell vector up front (bounded by the
+/// region's frame count), so a lying footer costs capacity, never
+/// correctness.
+[[nodiscard]] RecordsScan scan_records(
+    std::string_view data, std::size_t begin, std::size_t end,
+    std::uint64_t prev_seq, const std::string& file,
+    std::uint64_t stop_after_seq = 0,
+    const std::vector<FooterRun>* footer_runs = nullptr);
 
 /// One sealed segment, scanned: footer probe + full record decode.
 /// `data_clean` covers the *records* only — an unreadable footer leaves
@@ -112,9 +118,14 @@ struct LedgerScan {
 };
 
 /// Scan every file in DIR. `threads` = 0 picks min(4, hardware);
-/// segment scans run in parallel, the join is deterministic.
+/// segment scans run in parallel, the join is deterministic. Without
+/// `keep_index` each segment's footer and record index (what fsck
+/// cross-checks) are dropped by the thread that decoded them, so a
+/// caller that only wants the runs neither frees them serially nor
+/// holds their memory.
 [[nodiscard]] LedgerScan scan_ledger(const std::string& dir,
-                                     unsigned threads = 0);
+                                     unsigned threads = 0,
+                                     bool keep_index = true);
 
 /// Effective worker count for a parallel scan over `files` files.
 [[nodiscard]] unsigned scan_threads(unsigned requested, std::size_t files);

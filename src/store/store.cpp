@@ -297,7 +297,7 @@ StoreWriter::StoreWriter(std::string dir, WriterOptions opt)
 }
 
 void StoreWriter::recover_journal() {
-  const LedgerScan scan = scan_ledger(dir_);
+  const LedgerScan scan = scan_ledger(dir_, 0, /*keep_index=*/false);
   if (!scan.damaged.empty()) {
     throw CorruptError("store: sealed segment damage in '" + dir_ + "' (" +
                        joined_problems(scan.segment_problems) +
@@ -555,7 +555,7 @@ void StoreWriter::seal() {
 // StoreReader
 
 StoreReader::StoreReader(const std::string& dir, unsigned threads) {
-  LedgerScan scan = scan_ledger(dir, threads);
+  LedgerScan scan = scan_ledger(dir, threads, /*keep_index=*/false);
   if (!scan.any_files) {
     throw StoreError("store: no profile store at '" + dir + "'");
   }

@@ -7,7 +7,9 @@
 // kind), the fail-closed path (a CRC-valid footer contradicting the
 // records is corruption; --repair strips it), ambiguous --diff prefix
 // resolution, bloom-filter pruning with no false negatives, and
-// parallel cold scans being identical to serial ones.
+// parallel cold scans being identical to serial ones (including the
+// buffered whole-file reads they use and the footer-sized cell vectors
+// a lying footer cannot inflate).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 
 #include "faults/injector.hpp"
 #include "store/index.hpp"
+#include "store/io.hpp"
 #include "store/mapped.hpp"
 #include "store/query.hpp"
 #include "store/scan.hpp"
@@ -543,6 +546,43 @@ TEST_F(StoreQueryTest, ParallelScanIsIdenticalToSerial) {
   EXPECT_EQ(one.status, four.status);
   EXPECT_EQ(one.runs, four.runs);
   EXPECT_EQ(one.committed_cells, four.committed_cells);
+}
+
+TEST_F(StoreQueryTest, ReadFileIntoReusesOneBufferAcrossFiles) {
+  const std::string big(100000, 'b');
+  spit(base_ + "/big", big);
+  spit(base_ + "/small", "small");
+  spit(base_ + "/empty", "");
+  std::string buf;
+  store::read_file_into(base_ + "/big", buf);
+  EXPECT_EQ(buf, big);
+  store::read_file_into(base_ + "/small", buf);
+  EXPECT_EQ(buf, "small");
+  store::read_file_into(base_ + "/empty", buf);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(store::read_file(base_ + "/big"), big);
+  EXPECT_THROW(store::read_file_into(base_ + "/missing", buf),
+               store::IoError);
+}
+
+TEST_F(StoreQueryTest, InflatedFooterCellCountOnlyBoundsCapacity) {
+  write_run("a", {"K_0", "K_1", "K_2"});
+  std::string data = slurp(base_ + "/" + latest_segment());
+  store::FooterProbe probe = store::probe_footer(data);
+  ASSERT_EQ(probe.status, store::FooterProbe::Status::Valid);
+  // A CRC-valid footer claiming ~10^9 cells: the scan may size the run's
+  // cell vector from it, but never past what the records region could
+  // hold, and the decoded run is still exactly what the records say.
+  probe.footer.runs[0].cells = 1u << 30;
+  data.resize(probe.records_end);
+  data += store::encode_footer(probe.footer);
+
+  const store::SegmentScan seg = store::scan_segment_image(data, "seg");
+  ASSERT_TRUE(seg.data_clean) << seg.problem;
+  ASSERT_EQ(seg.rec.runs.size(), 1u);
+  EXPECT_EQ(seg.rec.runs[0].cells.size(), 3u);
+  EXPECT_LE(seg.rec.runs[0].cells.capacity(),
+            data.size() / (store::kFrameBytes + store::kMinBody));
 }
 
 }  // namespace
