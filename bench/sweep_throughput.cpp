@@ -14,17 +14,18 @@
 // (these run FIRST: they fork workers, and a fork after the in-process
 // legs have warmed libgomp's thread pool would deadlock):
 //
-//   forkcell  — --isolate cell, one disposable worker per cell: the
-//               fork-per-cell sandbox path.
-//   pooled    — --workers 4 --transport json: the supervised persistent
-//               worker pool over the v2 JSON-over-pipe transport, which
-//               amortizes the fork and warm-up over the whole sweep. The
-//               pooled-vs-fork speedup is the pool's reason to exist.
-//   pooled_shm— --workers 4 (default shm transport): the same pool over
-//               the v3 binary wire codec + per-worker shared-memory ring,
+//   forkcell  — --isolate cell: a one-worker pool that retires its worker
+//               after every cell, so each cell pays a fresh fork.
+//   pooled    — --workers 4 --transport json: four persistent pool
+//               workers sending their wire records inline in CRC pipe
+//               frames, which amortizes the fork and warm-up over the
+//               whole sweep. The pooled-vs-forkcell speedup is the
+//               persistent pool's reason to exist.
+//   pooled_shm— --workers 4 (default shm transport): the same pool and
+//               the same wire records over per-worker shared-memory rings,
 //               with kernel-affinity dispatch keeping repeat cells on the
 //               worker whose pool already holds their size classes. The
-//               shm-vs-json speedup is this transport's reason to exist.
+//               shm-vs-pipe speedup is the ring carrier's reason to exist.
 //
 // The benchmark reports wall time and cells/second for every mode, checks
 // that every sandboxed cell's checksum is bit-identical to the in-process
@@ -199,17 +200,17 @@ int main(int argc, char** argv) {
   sand.isolate = suite::IsolationMode::Cell;
   const ModeResult forkcell = run_mode(/*traced=*/false, sand);
   std::printf("  forkcell:  %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; fork-per-cell sandbox)\n",
+              "(%.1f cells/s; a worker retired per cell)\n",
               forkcell.wall_sec, forkcell.passed, forkcell.cells,
               static_cast<double>(forkcell.passed) / forkcell.wall_sec);
 
   sand.workers = 4;
-  sand.shm_transport = false;  // v2 JSON-over-pipe baseline for the shm leg
+  sand.shm_transport = false;  // pipe-frame carrier: baseline for the shm leg
   const ModeResult pooled = run_mode(/*traced=*/false, sand);
   const double pooled_speedup = forkcell.wall_sec / pooled.wall_sec;
   std::printf("  pooled:    %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; 4 pooled workers, JSON transport, "
-              "%.2fx vs fork-per-cell)\n",
+              "(%.1f cells/s; 4 pooled workers, pipe frames, "
+              "%.2fx vs forkcell)\n",
               pooled.wall_sec, pooled.passed, pooled.cells,
               static_cast<double>(pooled.passed) / pooled.wall_sec,
               pooled_speedup);
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   const double shm_speedup = pooled.wall_sec / pooled_shm.wall_sec;
   std::printf("  pooled_shm:%.3f s wall, %zu/%zu cells passed "
               "(%.1f cells/s; 4 pooled workers, shm-ring transport, "
-              "%.2fx vs JSON pooled)\n",
+              "%.2fx vs pipe-frame pooled)\n",
               pooled_shm.wall_sec, pooled_shm.passed, pooled_shm.cells,
               static_cast<double>(pooled_shm.passed) / pooled_shm.wall_sec,
               shm_speedup);

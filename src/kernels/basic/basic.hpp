@@ -12,10 +12,13 @@ RPERF_DECLARE_KERNEL(DAXPY);
 RPERF_DECLARE_KERNEL(DAXPY_ATOMIC);
 RPERF_DECLARE_KERNEL(IF_QUAD);
 RPERF_DECLARE_KERNEL(INDEXLIST, port::Index_type m_len = 0;
-                     suite::Index_vec m_list;);
+                     suite::Index_vec m_list;
+                     suite::Index_vec m_flags;
+                     suite::Index_vec m_positions;);
 RPERF_DECLARE_KERNEL(INDEXLIST_3LOOP, port::Index_type m_len = 0;
                      suite::Index_vec m_list;
-                     suite::Index_vec m_counts;);
+                     suite::Index_vec m_counts;
+                     suite::Index_vec m_flags;);
 RPERF_DECLARE_KERNEL(INIT3);
 RPERF_DECLARE_KERNEL(INIT_VIEW1D);
 RPERF_DECLARE_KERNEL(INIT_VIEW1D_OFFSET);

@@ -192,9 +192,7 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   // The parent may die or close our result pipe mid-write; we want EPIPE,
   // not sudden death, so the heartbeat thread can wind down.
   signal(SIGPIPE, SIG_IGN);
-  Limits limits = cfg.limits;
-  limits.cpu_seconds = 0.0;  // cumulative RLIMIT_CPU misfires on pooled work
-  apply_worker_limits(limits);
+  apply_worker_limits(cfg.limits);
   install_worker_crash_handlers();
   g_hb_suppress.store(false);
   g_corrupt_next.store(false);
@@ -728,9 +726,14 @@ PoolOutcome WorkerPool::run(
       s.measuring = false;
       s.state = WorkerState::Idle;
       ++stats_.jobs_completed;
+      const bool retire = job.retire;
       Disposition d = Disposition::Done;
       if (client_.on_result) d = client_.on_result(job, body);
       handle_disposition(d, std::move(job), /*retry_front=*/true);
+      // Planned retirement goes through the clean drain/bye path, so the
+      // exit is not a recycle and the slot respawns without backoff or
+      // touching its respawn budget.
+      if (retire && s.state == WorkerState::Idle) send_drain(s);
     } else if (rec.type == "final") {
       std::string body;
       if (s.ring) {

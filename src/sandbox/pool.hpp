@@ -1,26 +1,33 @@
-// rperf::sandbox::WorkerPool — a supervised pool of persistent workers.
+// rperf::sandbox::WorkerPool — the supervised worker pool, the one
+// sandboxed execution engine.
 //
-// run_worker() (sandbox.hpp) contains crashes by forking a disposable
-// child per batch, which is robust but pays a fork + cold warm-up per
-// cell and leaves orchestration (retry, deadlines, zombie reaping) to the
-// caller. The pool keeps N forked workers alive across many jobs and puts
-// one supervisor — the caller's thread, running a single-threaded poll()
-// event loop — in charge of every lifecycle decision:
+// Cells that must not take the driver down with them (SIGSEGV, abort, OOM,
+// hangs) run in forked worker processes, the pSTL-Bench practice of
+// isolating each measurement in its own process. The pool keeps N workers
+// and puts one supervisor — the caller's thread, running a
+// single-threaded poll() event loop — in charge of every lifecycle
+// decision:
 //
 //   * each worker walks the state machine
 //       Spawning -> Idle -> Busy -> (Idle ...) -> Draining -> Dead
-//     and everything the supervisor believes about it comes over the v2
-//     framed protocol (protocol.hpp): hello, heartbeats, results;
+//     and everything the supervisor believes about it comes over CRC32
+//     framed pipe records (protocol.hpp): hello, heartbeats, results;
 //   * workers emit heartbeats from a dedicated thread; a worker that goes
 //     silent past the heartbeat timeout (wedged, suppressed, or dead
 //     without SIGCHLD delivery) is killed and recycled;
 //   * per-job wall deadlines are enforced centrally (SIGTERM, grace,
-//     SIGKILL) instead of per-fork;
+//     SIGKILL);
 //   * a worker that dies — crash, OOM, deadline, corrupt frame, lost
 //     heartbeat — is reaped by a SIGCHLD-aware waitpid loop (no zombies)
 //     and respawned with exponential backoff, up to a per-slot budget;
 //     the in-flight job is handed back to the client, which decides
 //     Retry (requeued at the front, dispatched to a fresh worker) or Done;
+//   * a job flagged Job::retire drains its worker once its result is in:
+//     the worker says goodbye and exits cleanly, and the next job gets a
+//     fresh process. A retirement is not a recycle: it spends no respawn
+//     budget and waits for no backoff. One worker retired after every
+//     cell (or after each kernel's last cell) is the disposable
+//     per-cell/per-kernel isolation of `--isolate cell|kernel`;
 //   * at most `max_inflight` jobs *measure* at once: a job holds a measure
 //     slot from dispatch until its worker calls mark_measured() (or, if it
 //     never does, until its result arrives), so timed work never shares
@@ -32,17 +39,23 @@
 //     exhausted with work remaining) run() returns SpawnFailed and the
 //     caller degrades — e.g. to in-process execution — instead of
 //     aborting the sweep;
-//   * result and final payloads travel over a per-worker shared-memory
-//     ring by default (protocol v3, sandbox/ring.hpp): the worker
-//     publishes sequence-stamped chunks and announces them with a small
-//     descriptor frame, the supervisor drains rings from its poll loop
-//     via an eventfd doorbell, and a slot whose ring cannot be created
-//     falls back to inline v2 JSON-in-frame payloads transparently.
+//   * result and final payloads are opaque bytes to the pool. They travel
+//     over a per-worker shared-memory ring by default (protocol v3,
+//     sandbox/ring.hpp): the worker publishes sequence-stamped chunks and
+//     announces them with a small descriptor frame, and the supervisor
+//     drains rings from its poll loop via an eventfd doorbell. A slot
+//     whose ring cannot be created, or a pool configured with
+//     Transport::Json, carries the same payloads inline in CRC pipe frames
+//     (protocol v2).
 //
-// Workers are created by fork WITHOUT exec, inheriting the parent's warm
-// state; the same OpenMP caveat as run_worker applies (the parent must
-// not have run parallel regions before pool start). The supervisor itself
-// stays single-threaded, so respawn forks are safe at any point.
+// Workers are created by fork WITHOUT exec: the parent's warm kernel
+// registry, parsed parameters, armed fault injector and wire dictionary
+// are inherited by memory copy, so no argv marshalling layer exists to
+// drift out of sync. The one obligation this places on callers: the
+// parent must not have run OpenMP parallel regions before the pool
+// forks (a forked copy of a live libgomp thread pool deadlocks). The
+// supervisor itself stays single-threaded, so respawn forks are safe at
+// any point.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +109,10 @@ struct Job {
   /// so per-key warm state (allocator arenas, first-touched pages) is built
   /// once per pool instead of once per worker.
   std::uint64_t affinity = 0;
+  /// Retire the worker once this job's result is in: it drains and exits
+  /// cleanly, and the next job runs in a fresh process. Not a recycle: no
+  /// respawn budget is spent and no backoff applies.
+  bool retire = false;
 };
 
 /// Client verdict after a result or failure is delivered.
@@ -105,10 +122,12 @@ enum class Disposition {
   Abort,  ///< stop dispatching queued work; finish in-flight jobs, drain
 };
 
-/// How bulky worker->supervisor payloads travel (protocol.hpp: v3 vs v2).
+/// How worker->supervisor payloads travel (protocol.hpp: v3 vs v2). The
+/// payload bytes are the same on both carriers.
 enum class Transport {
   Shm,   ///< per-worker shared-memory ring + descriptor frames (v3)
-  Json,  ///< payloads inline in CRC-framed pipe records (v2)
+  Json,  ///< payloads inline in CRC-framed pipe records (v2); the name is
+         ///< the CLI's (--transport json)
 };
 [[nodiscard]] std::string to_string(Transport t);
 
@@ -123,12 +142,10 @@ struct PoolConfig {
   int term_grace_ms = 2000;          ///< SIGTERM -> SIGKILL grace
   int max_respawns = 8;              ///< per-slot respawn budget
   int respawn_backoff_ms = 25;       ///< doubles per respawn, capped at 2 s
-  Limits limits;                     ///< rlimits applied to each worker.
-                                     ///< cpu_seconds is ignored: RLIMIT_CPU
-                                     ///< is cumulative and would fire on a
-                                     ///< long-lived worker regardless of
-                                     ///< per-job behaviour; wall deadlines
-                                     ///< cover hangs instead.
+  /// rlimits applied to each worker as given. RLIMIT_CPU accrues over a
+  /// worker's whole life, so cpu_seconds bounds a job only when its worker
+  /// retires after it (Job::retire); leave it 0 for long-lived workers.
+  Limits limits;
   /// Measure slots: cap on jobs *measuring* at once across the pool;
   /// 0 = workers (uncapped). A job measures from dispatch until its worker
   /// calls WorkerPool::mark_measured(), or until its result or failure if
@@ -234,8 +251,7 @@ class WorkerPool {
   /// must detect it and recycle the worker instead of mis-parsing.
   static void corrupt_next_frame();
   /// Transport the calling worker actually uses (Json when ring setup
-  /// fell back, or in the parent process). Lets the worker-side client
-  /// pick the matching payload encoding.
+  /// fell back, or in the parent process).
   [[nodiscard]] static Transport current_transport();
 
  private:

@@ -1,47 +1,33 @@
-// Pipe-protocol constants shared by the sweep parent and its sandboxed
-// worker processes.
+// Pipe-protocol constants shared by the pool supervisor and its worker
+// processes (sandbox::WorkerPool, pool.hpp).
 //
-// Two generations coexist:
-//
-// v1 (disposable workers, sandbox::run_worker): line-delimited JSON over
-// an anonymous pipe:
-//
-//   {"type":"hello","proto":1,"pid":12345}
-//   {"type":"cell", ...RunResult fields..., "profile":{...}}   (per cell)
-//   {"type":"trace","data":{...TraceData...}}     (only when tracing is on)
-//   {"type":"bye","injector":"<serialized injector state>"}
-//
-// The parent validates the hello's protocol version before trusting any
-// record, attributes a missing/partial stream to a worker crash at the
-// first unreported cell, and folds the bye's injector state back so fault
-// budgets and the seeded probability stream progress across workers the
-// same way they would in a single process.
-//
-// v2 (persistent worker pool, sandbox::WorkerPool): the same JSON records
-// travel as length-framed, CRC32-checked binary frames:
+// Every supervisor<->worker record is a length-framed, CRC32-checked
+// binary frame:
 //
 //   [u32 magic][u32 payload length][u32 crc32(payload)][payload bytes]
 //
-// all little-endian. Framing exists because a *persistent* connection has
+// all little-endian. Framing exists because a persistent connection has
 // failure modes a one-shot pipe does not: a worker that keeps running
 // after scribbling a torn or corrupted record would silently poison every
 // later cell. A bad magic, an implausible length, or a CRC mismatch is
 // detected at the frame boundary; the supervisor treats the worker as
 // compromised, kills it, and retries the in-flight cell on a fresh worker
-// instead of mis-parsing. Frame payloads are the v1 JSON records plus the
-// pool's own control/liveness types ("job", "result", "hb", "drain",
-// "final"); see sandbox/pool.hpp. Bump the matching version constant
-// whenever a record's schema changes incompatibly.
+// instead of mis-parsing. Frame payloads are the pool's control and
+// liveness records ("hello", "job", "hb", "mark", "result", "drain",
+// "final", "bye"; see sandbox/pool.cpp).
 //
-// v3 (shm transport, the default): the framed pipe shrinks to a control
-// plane — hello/job/hb/drain plus result/final *descriptors* — while the
-// bulky payloads (binary wire-encoded cell results, profiles, trace
-// chunks; see sandbox/wire.hpp) travel over a per-worker shared-memory
-// ring (sandbox/ring.hpp) whose sequence-stamped chunks provide the
-// integrity check CRC provided for in-band payloads. When ring setup
-// fails the pool degrades per-slot to the v2 inline-JSON transport; the
-// two coexist on one pool, distinguished by descriptor vs. inline
-// records and by the payload's leading byte.
+// The client's own payloads (the executor's job descriptors, cell
+// results and trace chunks) are opaque bytes to the pool; the executor
+// encodes all of them as rperf::wire blobs (sandbox/wire.hpp). They ride
+// one of two carriers, announced by the version in the worker's hello:
+//
+//   v3 (the default): results and finals are published on a per-worker
+//      shared-memory ring (sandbox/ring.hpp) and announced by a small
+//      descriptor frame; the ring's sequence-stamped chunks provide the
+//      integrity check the frame CRC provides for inline bytes.
+//   v2: the same bytes travel inline in the result/final frames. Used
+//      when ring setup fails for a slot, or when the pool is configured
+//      for it (--transport json).
 #pragma once
 
 #include <cstdint>
@@ -54,14 +40,12 @@
 
 namespace rperf::sandbox {
 
-/// Version of the v1 (line-delimited) parent<->worker record schema.
-inline constexpr int kProtocolVersion = 1;
-
-/// Version of the v2 (framed) pool protocol carried in "hello" frames.
+/// Pool protocol version a worker without a ring announces in its hello
+/// (payloads inline in frames).
 inline constexpr int kProtocolVersionFramed = 2;
 
-/// Version of the v3 pool protocol (control-plane frames + shm-ring data
-/// plane, binary wire payloads) carried in "hello" frames.
+/// Pool protocol version a worker with a shm ring announces in its hello
+/// (descriptor frames + ring payloads).
 inline constexpr int kProtocolVersionShm = 3;
 
 /// Exit code a worker uses for "memory exhausted": either the injector's
@@ -69,7 +53,7 @@ inline constexpr int kProtocolVersionShm = 3;
 /// runner (e.g. RLIMIT_AS). Chosen outside the 0-63 range tools use.
 inline constexpr int kOomExitCode = 86;
 
-/// Leading magic word of every v2 frame ("RPF2" little-endian). A frame
+/// Leading magic word of every frame ("RPF2" little-endian). A frame
 /// that does not start with it means the stream lost sync — fail closed.
 inline constexpr std::uint32_t kFrameMagic = 0x32465052u;
 
@@ -84,7 +68,7 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 using util::crc32;
 using util::crc32_bytewise;
 
-/// Encode one v2 frame around `payload`. With `corrupt_crc` the stored
+/// Encode one frame around `payload`. With `corrupt_crc` the stored
 /// checksum is deliberately flipped — used only by the protocol-corrupt
 /// fault to prove the receiver detects a bad frame instead of parsing it.
 [[nodiscard]] inline std::string frame_encode(const std::string& payload,
@@ -106,7 +90,7 @@ using util::crc32_bytewise;
   return out;
 }
 
-/// Incremental v2 frame decoder: feed() raw bytes, next() pops payloads.
+/// Incremental frame decoder: feed() raw bytes, next() pops payloads.
 /// Once a structural violation is seen (bad magic, oversize length, CRC
 /// mismatch) the reader latches Corrupt — a stream that lost sync cannot
 /// be trusted again, so there is deliberately no resync path.
@@ -149,8 +133,9 @@ class FrameReader {
   bool corrupt_ = false;
 };
 
-/// Exact long-double round-trip for checksums crossing the pipe: JSON
-/// numbers are doubles, so the wire carries a C99 hexfloat string too.
+/// Exact long-double round-trip for checksums in JSON records
+/// (progress.jsonl): JSON numbers are doubles, so the record carries a C99
+/// hexfloat string too.
 [[nodiscard]] inline std::string checksum_to_hex(long double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%La", v);

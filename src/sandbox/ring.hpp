@@ -88,8 +88,8 @@ class ShmRing {
 
   /// Map a new ring with `capacity` data bytes (power of two, >= 4096).
   /// Backed by memfd_create when available, anonymous shared memory
-  /// otherwise. Returns nullptr on failure (caller falls back to the
-  /// JSON-in-frame transport).
+  /// otherwise. Returns nullptr on failure (caller falls back to inline
+  /// payloads in pipe frames).
   static std::unique_ptr<ShmRing> create(std::size_t capacity);
   ~ShmRing();
 
@@ -173,7 +173,7 @@ class ShmRing {
 
 namespace ring_testing {
 /// Make the next `n` ShmRing::create calls fail, to exercise the
-/// ring-unavailable -> JSON transport degradation path.
+/// ring-unavailable -> pipe-frame carrier degradation path.
 void fail_next_creates(int n);
 }  // namespace ring_testing
 

@@ -1,4 +1,6 @@
-// rperf::wire — the v3 pool protocol's binary snapshot codec.
+// rperf::wire — the one binary codec for every worker record (job
+// descriptor, cell result, profile, hwc sample, trace chunk), on both pool
+// carriers (shm ring and CRC pipe frames).
 //
 // Modeled on Caliper's snapshot design: strings (region names, metric
 // and metadata keys) are interned once into an attribute dictionary, and
@@ -24,10 +26,8 @@
 // Every get_* bounds-checks and throws wire::Error on violation: a
 // corrupted blob fails decode loudly instead of yielding garbage.
 //
-// Blobs start with [kBlobMagic][kBlobVersion]; kBlobMagic is distinct
-// from '{', so a receiver can sniff binary vs. legacy-JSON payloads and
-// the shm and JSON transports can coexist on one pool (per-slot ring
-// fallback, mixed-version replays).
+// Blobs start with [kBlobMagic][kBlobVersion]; a payload without them
+// (a torn or foreign record) fails expect_blob() instead of decoding.
 #pragma once
 
 #include <cstdint>
@@ -267,12 +267,5 @@ class Reader {
   const char* end_;
   std::vector<std::string> locals_;
 };
-
-/// True when `payload` starts with the wire blob magic (vs. legacy JSON,
-/// whose first byte is '{').
-[[nodiscard]] inline bool is_wire_blob(const std::string& payload) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == kBlobMagic;
-}
 
 }  // namespace rperf::wire

@@ -16,29 +16,34 @@
 // Passed there instead of re-running them — an interrupted multi-hour sweep
 // loses at most one kernel.
 //
-// With RunParams::isolate != None, cells execute in disposable worker
-// processes (rperf::sandbox) instead of in-process: a crash, OOM, or hang
-// is contained to the worker and decoded into RunStatus::Crashed /
-// OutOfMemory / Killed, forensics (signal, stderr tail, backtrace, rusage)
-// are appended to <output_dir>/crashes.jsonl, and a cell that crashes
+// There are two execution engines: in-process, and the supervised worker
+// pool (sandbox::WorkerPool). With RunParams::isolate != None, cells run in
+// pool workers: N long-lived ones with --workers N, or, with --workers 0,
+// one worker retired after each cell (--isolate cell) or after each
+// kernel's last cell (--isolate kernel). A crash, OOM, or hang is contained
+// to the worker and decoded into RunStatus::Crashed / OutOfMemory / Killed,
+// forensics (signal, stderr tail, backtrace, rusage) are appended to
+// <output_dir>/crashes.jsonl, and a cell that crashes
 // RunParams::quarantine_after times is quarantined — skipped with a
-// recorded reason, including across --resume runs. Workers stream results
-// back over a versioned pipe protocol and the parent folds them into the
-// same channels, checkpoint, and reports as in-process execution, so the
-// two modes produce identical outputs for passing sweeps.
+// recorded reason, including across --resume runs. Workers send every
+// record (job descriptor, cell result, profile, counters, trace chunk) as
+// an rperf::wire blob, and the parent folds results into the same
+// channels, checkpoint, and reports as in-process execution, so the two
+// engines produce identical outputs for passing sweeps.
 //
 // With RunParams::trace, the process-wide TraceSink records the whole
 // sweep — a "sweep" span, one span per cell, per-thread spans from traced
-// OpenMP foralls, and counter tracks — including sandboxed workers, which
-// stream their trace chunk back over the pipe protocol with a fork-time
-// clock offset. write_trace() merges every chunk into one Chrome/Perfetto
-// timeline, and the sink's self-accounted cost lands in the
-// "trace_overhead_pct" run metadata.
+// OpenMP foralls, and counter tracks — including pool workers, which send
+// their trace chunk back when they drain, with a fork-time clock offset.
+// write_trace() merges every chunk into one Chrome/Perfetto timeline, and
+// the sink's self-accounted cost lands in the "trace_overhead_pct" run
+// metadata.
 #pragma once
 
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -172,8 +177,8 @@ class Executor {
   /// --hwc is off), gated < 5% by the perf_hwc_overhead smoke test.
   [[nodiscard]] double hwc_overhead_pct() const { return hwc_overhead_pct_; }
 
-  // ----- worker pool (RunParams::workers > 0) -----
-  /// Supervisor statistics of the last pooled run (zeroed otherwise).
+  // ----- worker pool (RunParams::isolate != None) -----
+  /// Supervisor statistics of the last sandboxed run (zeroed otherwise).
   [[nodiscard]] const sandbox::PoolStats& pool_stats() const {
     return pool_stats_;
   }
@@ -190,36 +195,37 @@ class Executor {
     std::string tuning_name;
   };
 
-  /// Aggregate worker accounting for one sandboxed sweep, folded into the
-  /// run metadata (and stderr diagnostics under RPERF_SANDBOX_DIAG).
-  struct SandboxStats {
-    std::size_t children = 0;
-    long peak_rss_kb = 0;
-    double user_sec = 0.0;
-    double sys_sec = 0.0;
-  };
-
   /// Execute one cell (single attempt) into `channel`, classifying the
   /// outcome; fills time/checksum fields of `r` on success.
   RunStatus run_cell_once(const Cell& cell, cali::Channel& channel,
                           RunResult& r);
-  /// The classic path: every cell runs in this process.
+  /// In-process retry loop: run `cell` here until it passes, times out,
+  /// or spends its retry budget. `used` counts executions already spent
+  /// on it (by pool workers, before a degradation).
+  void run_attempts(const Cell& cell, RunResult& r, int used);
+  /// Sleep the exponential retry backoff before re-running a cell that has
+  /// used `used` executions (no-op for the first).
+  void retry_backoff(int used) const;
+  /// The per-cell plan step shared by both engines: a cell that needs no
+  /// execution (sweep stopped, interrupt latched, passed in the resumed
+  /// checkpoint, quarantined) is finalized here and nullopt returned;
+  /// otherwise its fresh result record is returned for execution.
+  std::optional<RunResult> plan_cell(
+      const Cell& cell, const std::map<std::string, RunResult>& prior);
+  /// Record a terminal cell (trace counters, results, checkpoint, store);
+  /// latches stopped_ on a failure under --no-keep-going.
+  void finalize(const RunResult& r);
+  /// In-process engine: every cell runs in this process.
   void run_in_process(const std::vector<Cell>& cells,
                       const std::map<std::string, RunResult>& prior);
-  /// The sandboxed path: cells run in forked workers (isolate=kernel|cell).
-  void run_sandboxed(const std::vector<Cell>& cells,
-                     const std::map<std::string, RunResult>& prior);
-  /// The pooled path (RunParams::workers > 0): cells are dispatched as a
-  /// work queue to N persistent supervised workers (sandbox::WorkerPool);
-  /// falls back to in-process execution when no worker can be spawned.
+  /// Pool engine (isolate=kernel|cell): cells are dispatched as a work
+  /// queue to sandbox::WorkerPool workers; falls back to in-process
+  /// execution when no worker can be spawned.
   void run_pooled(const std::vector<Cell>& cells,
                   const std::map<std::string, RunResult>& prior);
-  /// Body executed inside a pooled worker for one job payload; returns
-  /// the result payload (the v1 "cell" record plus injector state).
+  /// Body executed inside a pool worker for one wire job descriptor;
+  /// returns the wire cell result (plus the worker's injector state).
   std::string worker_run_cell(const std::string& payload);
-  /// Body executed inside a forked worker: stream hello / per-cell records /
-  /// bye over `fd` for every cell in `batch` (sandbox/protocol.hpp).
-  void worker_main(int fd, const std::vector<const Cell*>& batch);
   void append_progress(const RunResult& r);
   /// Land one terminal cell in the profile store (no-op when off); a
   /// StoreError latches the store disabled with a warning — durability
@@ -246,9 +252,10 @@ class Executor {
   std::unique_ptr<store::StoreWriter> store_writer_;
   std::string store_run_id_;
   std::string store_error_;
-  SandboxStats sandbox_stats_;
   sandbox::PoolStats pool_stats_;
   bool degraded_ = false;
+  /// Set by a failure under --no-keep-going; later cells are skipped.
+  bool stopped_ = false;
   std::string hwc_reason_;
   double hwc_overhead_pct_ = 0.0;
 

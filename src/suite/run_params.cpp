@@ -209,25 +209,28 @@ std::string RunParams::usage() {
          "  --faults SPEC     inject faults, e.g.\n"
          "                    'throw@Basic_DAXPY,slow@Lcals_HYDRO_2D:50ms'\n"
          "  --fault-seed N    seed for probabilistic fault decisions\n"
-         "  --isolate MODE    run cells in disposable worker processes:\n"
-         "                    none (in-process, default), kernel (one\n"
+         "  --isolate MODE    run cells in worker processes: none\n"
+         "                    (in-process, default), kernel (a fresh\n"
          "                    worker per kernel), cell (one per cell)\n"
          "  --quarantine-after N  skip a cell after N worker crashes\n"
          "                    (default 3; counts persist across --resume)\n"
          "  --max-cell-seconds S  per-cell wall deadline for workers\n"
          "                    (SIGTERM, then SIGKILL after a grace period)\n"
          "  --sandbox-mem-mb N    RLIMIT_AS for workers, in MiB\n"
-         "  --sandbox-cpu-seconds S  RLIMIT_CPU for workers\n"
+         "  --sandbox-cpu-seconds S  RLIMIT_CPU for workers (only with\n"
+         "                    --workers 0: it accrues over a worker's life)\n"
          "  --workers N       dispatch isolated cells to N persistent,\n"
          "                    supervised sandbox workers (heartbeats,\n"
          "                    crash recycling, central deadlines); implies\n"
-         "                    --isolate cell; 0 = fork-per-cell (default)\n"
+         "                    --isolate cell; 0 (default) = one worker,\n"
+         "                    retired per cell or per kernel (--isolate)\n"
          "  --heartbeat-interval-ms N  pooled worker beat period\n"
          "  --heartbeat-timeout-ms N   recycle a pooled worker silent for\n"
          "                    this long (default 2000)\n"
-         "  --transport T     pooled payload transport: shm (default;\n"
-         "                    binary records over per-worker shared-memory\n"
-         "                    rings) or json (v2 JSON-in-frame pipe)\n";
+         "  --transport T     carrier for workers' binary wire records:\n"
+         "                    shm (default; per-worker shared-memory\n"
+         "                    rings) or json (the same records inline in\n"
+         "                    CRC pipe frames)\n";
 }
 
 }  // namespace rperf::suite

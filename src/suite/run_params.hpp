@@ -78,43 +78,46 @@ struct RunParams {
   std::uint32_t fault_seed = 7u;
 
   // ----- sandboxed execution (rperf::sandbox) -----
-  /// Process isolation granularity: None runs cells in-process (as before);
-  /// Kernel forks one worker per kernel (all its variant/tuning cells);
-  /// Cell forks one worker per cell. Isolated modes contain SIGSEGV/abort/
-  /// OOM/hangs to the worker and record forensics in <outdir>/crashes.jsonl.
+  /// Process isolation granularity: None runs cells in-process; Kernel and
+  /// Cell run them on the worker pool, which (with workers == 0) retires
+  /// its one worker after each kernel's last cell or after every cell.
+  /// Isolated modes contain SIGSEGV/abort/OOM/hangs to the worker and
+  /// record forensics in <outdir>/crashes.jsonl.
   IsolationMode isolate = IsolationMode::None;
   /// A cell that crashes its worker this many times is quarantined: skipped
   /// with a recorded reason instead of re-attempted. Counts persist in
   /// crashes.jsonl across --resume runs.
   int quarantine_after = 3;
-  /// Wall-clock budget per cell enforced by the parent (SIGTERM then
-  /// SIGKILL); a worker running N cells gets N times this. <= 0 disables.
+  /// Wall-clock budget per cell enforced by the pool supervisor (SIGTERM
+  /// then SIGKILL). <= 0 disables.
   double max_cell_seconds = 0.0;
   /// RLIMIT_AS for workers, in MiB; 0 = inherit the parent's limit.
   std::size_t sandbox_mem_mb = 0;
-  /// RLIMIT_CPU for workers, in seconds; <= 0 = inherit. Applies to the
-  /// disposable (fork-per-cell) workers only: a pooled worker's CPU time
-  /// accrues across cells, so the pool relies on wall deadlines instead.
+  /// RLIMIT_CPU for workers, in seconds; <= 0 = inherit. Applies only when
+  /// workers == 0 (a worker retired per cell or per kernel): a persistent
+  /// worker's CPU time accrues across cells, so it relies on wall
+  /// deadlines instead.
   double sandbox_cpu_seconds = 0.0;
 
   // ----- persistent worker pool (rperf::sandbox::WorkerPool) -----
-  /// Number of persistent sandbox workers; 0 (the default) keeps the
-  /// disposable fork-per-batch path. With N >= 1, isolated cells are
-  /// dispatched as a work queue to N supervised long-lived workers
-  /// (heartbeats, crash recycling, central deadlines, backpressure).
-  /// --workers with --isolate none implies --isolate cell, and pooled
-  /// dispatch is always per-cell regardless of kernel/cell granularity.
+  /// Number of persistent sandbox workers. 0 (the default) runs isolated
+  /// cells on one worker retired per cell or per kernel (see isolate).
+  /// With N >= 1, isolated cells are dispatched as a work queue to N
+  /// supervised long-lived workers (heartbeats, crash recycling, central
+  /// deadlines, backpressure). --workers with --isolate none implies
+  /// --isolate cell, and persistent workers are never retired, whatever
+  /// the kernel/cell granularity.
   int workers = 0;
   /// Worker heartbeat period (worker-side) in milliseconds.
   int heartbeat_interval_ms = 100;
   /// Supervisor-side silence budget: a worker that produces no frame for
   /// this long is killed and recycled; its cell is retried elsewhere.
   int heartbeat_timeout_ms = 2000;
-  /// Pooled result/profile transport: true (default, --transport shm)
-  /// carries binary wire-encoded payloads over per-worker shared-memory
-  /// rings (pool protocol v3); false (--transport json) forces the v2
-  /// JSON-in-frame pipe path. Shm falls back to json per worker when ring
-  /// setup fails; the effective choice is recorded in the
+  /// Carrier for worker records (always rperf::wire blobs): true (default,
+  /// --transport shm) uses per-worker shared-memory rings (pool protocol
+  /// v3); false (--transport json) puts the same records inline in CRC
+  /// pipe frames (v2). Shm falls back to the pipe per worker when ring
+  /// setup fails; the effective carrier is recorded in the
   /// "sandbox_transport" profile metadata.
   bool shm_transport = true;
 

@@ -49,7 +49,7 @@ enum class FeatureID : std::uint32_t {
 
 /// Outcome of one (kernel, variant, tuning) cell of the sweep.
 /// Crashed/OutOfMemory/Killed are produced only by sandboxed execution
-/// (--isolate), where a disposable worker process absorbs failure modes
+/// (--isolate), where a worker process absorbs failure modes
 /// that in-process isolation cannot survive.
 enum class RunStatus {
   Passed,           ///< executed, finite checksum recorded
@@ -65,8 +65,9 @@ enum class RunStatus {
 /// Process-isolation granularity of the sweep (--isolate).
 enum class IsolationMode {
   None,    ///< cells run in the parent process (PR-1 in-process guards)
-  Kernel,  ///< one disposable worker process per kernel
-  Cell,    ///< one disposable worker process per (kernel, variant, tuning)
+  Kernel,  ///< worker processes; without --workers, a fresh one per kernel
+  Cell,    ///< worker processes; without --workers, a fresh one per
+           ///< (kernel, variant, tuning)
 };
 
 /// Computational complexity relative to problem (storage) size.

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -384,6 +385,129 @@ TEST_F(PoolTest, JobDeadlineIsEnforcedCentrally) {
   EXPECT_EQ(out, PoolOutcome::Completed);
   EXPECT_EQ(deadline_failures.load(), 1);
   EXPECT_GE(pool.stats().deadline_kills, 1u);
+  expect_no_children();
+}
+
+TEST_F(PoolTest, EscapedBadAllocIsAnOomExit) {
+  // A job whose std::bad_alloc escapes run_job (RLIMIT_AS exhaustion, say)
+  // must surface as the OOM exit code, not a generic crash.
+  PoolConfig cfg;
+  cfg.workers = 1;
+  PoolClient client;
+  client.run_job = [](const std::string&) -> std::string {
+    throw std::bad_alloc();
+  };
+  client.on_result = [](const Job&, const std::string&) {
+    ADD_FAILURE() << "throwing job produced a result";
+    return Disposition::Done;
+  };
+  std::vector<JobFailure> failures;
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    failures.push_back(f);
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 1) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].reason, FailReason::WorkerDied);
+  EXPECT_TRUE(failures[0].exited);
+  EXPECT_EQ(failures[0].exit_code, sandbox::kOomExitCode);
+  expect_no_children();
+}
+
+TEST_F(PoolTest, CpuLimitKillsASpinningJobWithSigxcpu) {
+  // PoolConfig::limits applies as given: a job that spins past
+  // RLIMIT_CPU dies of SIGXCPU.
+  PoolConfig cfg;
+  cfg.workers = 1;
+  cfg.limits.cpu_seconds = 1;
+  cfg.heartbeat_timeout_ms = 20000;  // a spinning job must not read as silent
+  PoolClient client;
+  client.run_job = [](const std::string&) -> std::string {
+    volatile std::uint64_t x = 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < give_up) x = x + 1;
+    return "survived";
+  };
+  client.on_result = [](const Job&, const std::string&) {
+    ADD_FAILURE() << "spinning job outlived its CPU limit";
+    return Disposition::Done;
+  };
+  std::vector<JobFailure> failures;
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    failures.push_back(f);
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 1) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].reason, FailReason::WorkerDied);
+  EXPECT_FALSE(failures[0].exited);
+  EXPECT_EQ(failures[0].signal, SIGXCPU) << failures[0].describe();
+  expect_no_children();
+}
+
+TEST_F(PoolTest, RetiredWorkersRespawnWithoutBudgetOrBackoff) {
+  // One worker retired after every job: 12 clean exits, 12 fresh
+  // processes. A retirement is not a recycle, so it neither spends the
+  // respawn budget (8 would run out before job 10) nor waits for the
+  // doubling backoff (about 11 s over 11 respawns).
+  PoolConfig cfg;
+  cfg.workers = 1;
+  ASSERT_EQ(cfg.max_respawns, 8);
+  PoolClient client;
+  client.run_job = [](const std::string&) {
+    return std::to_string(getpid());
+  };
+  std::set<std::string> pids;
+  client.on_result = [&](const Job&, const std::string& result) {
+    pids.insert(result);
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const auto start = std::chrono::steady_clock::now();
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 12) return std::nullopt;
+    Job j;
+    j.id = next++;
+    j.retire = true;
+    return j;
+  });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  EXPECT_EQ(pool.stats().jobs_completed, 12u);
+  EXPECT_EQ(pool.stats().spawns, 12u);
+  EXPECT_EQ(pool.stats().recycles, 0u);
+  EXPECT_EQ(pids.size(), 12u);  // every job ran in its own process
+  EXPECT_LT(wall, 5.0);
   expect_no_children();
 }
 

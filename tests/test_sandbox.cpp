@@ -11,7 +11,7 @@
 // parity tests would otherwise warm the pool first.
 #include <gtest/gtest.h>
 #include <omp.h>
-#include <unistd.h>
+#include <signal.h>
 
 #include <filesystem>
 #include <fstream>
@@ -164,64 +164,7 @@ TEST_F(SandboxTest, JsonBoolOrAndProfileValueRoundTrip) {
   EXPECT_EQ(rebuilt.metadata().at("variant"), "Base_Seq");
 }
 
-// ------------------------------------------------------- run_worker basics
-
-TEST_F(SandboxTest, RunWorkerStreamsLinesAndReportsUsage) {
-  sandbox::Limits limits;
-  const auto rep = sandbox::run_worker(
-      [](int fd) {
-        const char* lines = "one\ntwo\n";
-        ssize_t ignored = write(fd, lines, 8);
-        (void)ignored;
-      },
-      limits);
-  EXPECT_TRUE(rep.clean());
-  ASSERT_EQ(rep.lines.size(), 2u);
-  EXPECT_EQ(rep.lines[0], "one");
-  EXPECT_EQ(rep.lines[1], "two");
-  EXPECT_GT(rep.usage.max_rss_kb, 0);
-  EXPECT_GE(rep.wall_sec, 0.0);
-}
-
-TEST_F(SandboxTest, RunWorkerContainsACrashAndKeepsEarlierLines) {
-  sandbox::Limits limits;
-  const auto rep = sandbox::run_worker(
-      [](int fd) {
-        ssize_t ignored = write(fd, "before\n", 7);
-        (void)ignored;
-        volatile int* p = nullptr;
-        *p = 1;  // SIGSEGV (ASan converts this to a nonzero exit)
-      },
-      limits);
-  EXPECT_FALSE(rep.clean());
-  ASSERT_EQ(rep.lines.size(), 1u);
-  EXPECT_EQ(rep.lines[0], "before");
-  // Either a real signal death or a sanitizer-mediated nonzero exit.
-  EXPECT_TRUE(rep.exit == sandbox::WorkerExit::Signaled ||
-              rep.exit == sandbox::WorkerExit::NonzeroExit)
-      << rep.describe();
-}
-
-TEST_F(SandboxTest, RunWorkerEnforcesTheWallDeadline) {
-  sandbox::Limits limits;
-  limits.wall_deadline_sec = 0.2;
-  limits.term_grace_ms = 500;
-  const auto rep = sandbox::run_worker(
-      [](int) {
-        for (;;) pause();
-      },
-      limits);
-  EXPECT_EQ(rep.exit, sandbox::WorkerExit::DeadlineKilled);
-  EXPECT_LT(rep.wall_sec, 5.0);
-}
-
-TEST_F(SandboxTest, RunWorkerMapsEscapedBadAllocToOomExit) {
-  sandbox::Limits limits;
-  const auto rep =
-      sandbox::run_worker([](int) { throw std::bad_alloc(); }, limits);
-  EXPECT_EQ(rep.exit, sandbox::WorkerExit::OomExit);
-  EXPECT_EQ(rep.exit_code, sandbox::kOomExitCode);
-}
+// ------------------------------------------------------- signals
 
 TEST_F(SandboxTest, SignalNamesAreReadable) {
   EXPECT_EQ(sandbox::signal_name(SIGSEGV), "SIGSEGV");

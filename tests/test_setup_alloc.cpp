@@ -5,7 +5,10 @@
 // new chunks from the OS (pool os_allocs) nor allocate large buffers
 // around the pool. This binary replaces the global operator new to count
 // allocations of 64 KiB or more; each kernel runs its Base_Seq cell twice
-// (its own process under ctest) and the second cell must count none.
+// (its own process under ctest) and the second cell must count none. The
+// kernels whose RAJA variants need scan scratch also run their RAJA_Seq
+// cell twice, so that scratch must come from setUp's pooled members and
+// not from the timed loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -116,6 +119,36 @@ const std::set<std::string>& timed_loop_allocators() {
   return names;
 }
 
+/// Run `vid` of kernel `name` twice and check that the repeat cell takes
+/// no new OS chunks and (unless allowlisted) no large allocations.
+void expect_repeat_cell_allocates_nothing(const std::string& name,
+                                          VariantID vid) {
+  RunParams params;
+  params.size_factor = 0.05;
+  params.reps_factor = 0.0;  // clamped up to min_reps
+  params.min_reps = 1;
+  const auto kernel = make_kernel(name, params);
+  if (!kernel->has_variant(vid)) GTEST_SKIP();
+  rperf::cali::Channel channel;
+
+  kernel->execute(vid, channel);  // warms the pool
+  const std::uint64_t os_before = rperf::mem::pool().stats().os_allocs;
+  const std::uint64_t large_before = g_large_allocs.load();
+  kernel->execute(vid, channel);
+  const std::uint64_t large = g_large_allocs.load() - large_before;
+
+  EXPECT_EQ(rperf::mem::pool().stats().os_allocs, os_before)
+      << name << ": repeat cell took new chunks from the OS";
+  if (timed_loop_allocators().count(name) != 0) {
+    EXPECT_GT(large, 0u) << name
+                         << " no longer allocates in its timed loop; "
+                            "drop it from the allowlist";
+  } else {
+    EXPECT_EQ(large, 0u) << name << ": " << large
+                         << " allocations of >= 64 KiB outside the pool";
+  }
+}
+
 class SetupAllocTest : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,30 +158,22 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(SetupAllocTest, RepeatCellAllocatesNothingOutsidePool) {
-  RunParams params;
-  params.size_factor = 0.05;
-  params.reps_factor = 0.0;  // clamped up to min_reps
-  params.min_reps = 1;
-  const auto kernel = make_kernel(GetParam(), params);
-  if (!kernel->has_variant(VariantID::Base_Seq)) GTEST_SKIP();
-  rperf::cali::Channel channel;
+  expect_repeat_cell_allocates_nothing(GetParam(), VariantID::Base_Seq);
+}
 
-  kernel->execute(VariantID::Base_Seq, channel);  // warms the pool
-  const std::uint64_t os_before = rperf::mem::pool().stats().os_allocs;
-  const std::uint64_t large_before = g_large_allocs.load();
-  kernel->execute(VariantID::Base_Seq, channel);
-  const std::uint64_t large = g_large_allocs.load() - large_before;
+/// Kernels whose RAJA variants flag, scan and scatter through scratch
+/// buffers the Base variants do not need.
+class ScanScratchAllocTest : public ::testing::TestWithParam<std::string> {};
 
-  EXPECT_EQ(rperf::mem::pool().stats().os_allocs, os_before)
-      << GetParam() << ": repeat cell took new chunks from the OS";
-  if (timed_loop_allocators().count(GetParam()) != 0) {
-    EXPECT_GT(large, 0u) << GetParam()
-                         << " no longer allocates in its timed loop; "
-                            "drop it from the allowlist";
-  } else {
-    EXPECT_EQ(large, 0u) << GetParam() << ": " << large
-                         << " allocations of >= 64 KiB outside the pool";
-  }
+INSTANTIATE_TEST_SUITE_P(
+    RajaSeq, ScanScratchAllocTest,
+    ::testing::Values("Basic_INDEXLIST", "Basic_INDEXLIST_3LOOP"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST_P(ScanScratchAllocTest, RepeatRajaSeqCellAllocatesNothingOutsidePool) {
+  expect_repeat_cell_allocates_nothing(GetParam(), VariantID::RAJA_Seq);
 }
 
 }  // namespace

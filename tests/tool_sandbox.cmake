@@ -61,3 +61,29 @@ endif()
 if(NOT out3 MATCHES "SIGSEGV|exit ")
   message(FATAL_ERROR "crash summary lacks signal detail:\n${out3}")
 endif()
+
+# Kernel-granularity isolation from the CLI: one worker per kernel, retired
+# after the kernel's last cell. Two kernels, no faults: every cell passes
+# and the profile metadata records isolate=kernel with exactly two workers.
+execute_process(
+  COMMAND "${RAJAPERF}" --kernels Basic_DAXPY,Stream_TRIAD
+          --variants Base_Seq,Lambda_Seq --size-factor 0.01
+          --isolate kernel --outdir "${WORKDIR}/kernel"
+  OUTPUT_VARIABLE out4
+  RESULT_VARIABLE rc4)
+if(NOT rc4 EQUAL 0)
+  message(FATAL_ERROR "isolate-kernel run: want exit 0, got ${rc4}:\n${out4}")
+endif()
+file(GLOB kernel_profiles "${WORKDIR}/kernel/*.cali.json")
+list(LENGTH kernel_profiles nkernel_profiles)
+if(nkernel_profiles EQUAL 0)
+  message(FATAL_ERROR "isolate-kernel run produced no profiles:\n${out4}")
+endif()
+list(GET kernel_profiles 0 kernel_profile)
+file(READ "${kernel_profile}" kernel_meta)
+if(NOT kernel_meta MATCHES "\"isolate\": \"kernel\"")
+  message(FATAL_ERROR "profile metadata lacks isolate=kernel:\n${kernel_meta}")
+endif()
+if(NOT kernel_meta MATCHES "\"sandbox_children\": \"2\"")
+  message(FATAL_ERROR "want sandbox_children=2 (one worker per kernel):\n${kernel_meta}")
+endif()
