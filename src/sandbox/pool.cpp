@@ -30,13 +30,13 @@ namespace rperf::sandbox {
 namespace {
 
 // Frame payloads are "<header line>\n<body>"; the header is space-separated
-// words ("job 17", "hello 2 12345", "hb 42"). Deliberately not JSON: the
+// words ("job 17 0", "hello 2 12345", "hb 42"). Deliberately not JSON: the
 // pool sits below the instrumentation layer and the client's payloads are
 // opaque bodies anyway.
 struct Record {
   std::string type;
   std::uint64_t a = 0;  // id / proto / seq, depending on type
-  std::uint64_t b = 0;  // pid for hello
+  std::uint64_t b = 0;  // pid for hello, retire flag for job
   std::string body;
 };
 
@@ -211,7 +211,9 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   if (!write_frame(res_wr, hello)) _exit(1);
 
   // Heartbeat thread: one beat per interval until told to stop. The
-  // condition variable makes shutdown prompt (no multi-interval lag).
+  // condition variable makes shutdown prompt (no multi-interval lag); the
+  // predicate catches a stop that lands before the thread first waits,
+  // as it does when a retiring worker finishes a short job at once.
   std::mutex hb_mutex;
   std::condition_variable hb_cv;
   bool hb_stop = false;
@@ -219,9 +221,11 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
     std::uint64_t seq = 0;
     std::unique_lock<std::mutex> lock(hb_mutex);
     for (;;) {
-      hb_cv.wait_for(lock,
-                     std::chrono::milliseconds(cfg.heartbeat_interval_ms));
-      if (hb_stop) return;
+      if (hb_cv.wait_for(lock,
+                         std::chrono::milliseconds(cfg.heartbeat_interval_ms),
+                         [&] { return hb_stop; })) {
+        return;
+      }
       if (g_hb_suppress.load()) continue;
       char beat[32];
       std::snprintf(beat, sizeof(beat), "hb %llu",
@@ -236,6 +240,26 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
     }
     hb_cv.notify_all();
     hb_thread.join();
+  };
+
+  // Drain: ship the final payload, say goodbye, and leave the loop.
+  auto say_goodbye = [&] {
+    std::string fin;
+    if (client.final_payload) fin = client.final_payload();
+    if (!fin.empty()) {
+      if (g_worker_ring != nullptr) {
+        if (g_worker_ring->write_message(fin.data(), fin.size(),
+                                         g_worker_doorbell)) {
+          char fh[32];
+          std::snprintf(fh, sizeof(fh), "final %llu",
+                        static_cast<unsigned long long>(fin.size()));
+          write_frame(res_wr, fh);
+        }
+      } else {
+        write_frame(res_wr, record_encode("final", fin));
+      }
+    }
+    write_frame(res_wr, "bye");
   };
 
   FrameReader reader;
@@ -288,23 +312,16 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
             break;
           }
         }
-      } else if (rec.type == "drain") {
-        std::string fin;
-        if (client.final_payload) fin = client.final_payload();
-        if (!fin.empty()) {
-          if (g_worker_ring != nullptr) {
-            if (g_worker_ring->write_message(fin.data(), fin.size(),
-                                             g_worker_doorbell)) {
-              char fh[32];
-              std::snprintf(fh, sizeof(fh), "final %llu",
-                            static_cast<unsigned long long>(fin.size()));
-              write_frame(res_wr, fh);
-            }
-          } else {
-            write_frame(res_wr, record_encode("final", fin));
-          }
+        // A retiring job ("job <id> 1") drains its worker right after
+        // the result, without waiting for a drain frame: the process
+        // exits while an OpenMP cell's idle team is still spinning,
+        // instead of after a supervisor round trip competing with it.
+        if (rec.b != 0) {
+          say_goodbye();
+          break;
         }
-        write_frame(res_wr, "bye");
+      } else if (rec.type == "drain") {
+        say_goodbye();
         break;
       }
     }
@@ -588,6 +605,16 @@ PoolOutcome WorkerPool::run(
             1000.0;
   };
 
+  /// A resolved job is progress: the respawn budget and backoff count only
+  /// a slot's consecutive deaths that resolved nothing, so a long sweep of
+  /// crashing jobs (each bounded by the client's own retry policy) never
+  /// exhausts the budget, while a crash loop that resolves nothing still
+  /// runs it down.
+  auto note_progress = [](Slot& s) {
+    s.respawns = 0;
+    s.next_spawn_at = 0.0;
+  };
+
   auto handle_disposition = [&](Disposition d, Job&& job, bool retry_front) {
     if (d == Disposition::Retry) {
       if (retry_front) {
@@ -610,6 +637,7 @@ PoolOutcome WorkerPool::run(
     ++stats_.jobs_failed;
     Disposition d = Disposition::Done;
     if (client_.on_failure) d = client_.on_failure(job, f);
+    if (d == Disposition::Done) note_progress(s);
     handle_disposition(d, std::move(job), /*retry_front=*/true);
   };
 
@@ -669,10 +697,14 @@ PoolOutcome WorkerPool::run(
     return true;
   };
 
-  auto send_drain = [&](Slot& s) {
+  auto begin_drain = [&](Slot& s) {
     s.state = WorkerState::Draining;
     s.drain_at = now_sec();
     s.expect_clean_exit = true;
+  };
+
+  auto send_drain = [&](Slot& s) {
+    begin_drain(s);
     const std::string frame = frame_encode("drain");
     if (!write_all(s.ctl_wr, frame.data(), frame.size())) {
       // Worker already died; the reap path will sort it out.
@@ -726,14 +758,16 @@ PoolOutcome WorkerPool::run(
       s.measuring = false;
       s.state = WorkerState::Idle;
       ++stats_.jobs_completed;
+      note_progress(s);
       const bool retire = job.retire;
       Disposition d = Disposition::Done;
       if (client_.on_result) d = client_.on_result(job, body);
       handle_disposition(d, std::move(job), /*retry_front=*/true);
-      // Planned retirement goes through the clean drain/bye path, so the
-      // exit is not a recycle and the slot respawns without backoff or
-      // touching its respawn budget.
-      if (retire && s.state == WorkerState::Idle) send_drain(s);
+      // Planned retirement goes through the clean drain/bye path (the
+      // worker starts it on its own after a retiring job's result), so
+      // the exit is not a recycle and the slot respawns without backoff
+      // or touching its respawn budget.
+      if (retire && s.state == WorkerState::Idle) begin_drain(s);
     } else if (rec.type == "final") {
       std::string body;
       if (s.ring) {
@@ -983,8 +1017,9 @@ PoolOutcome WorkerPool::run(
       queue.erase(it);
       if (client_.before_dispatch) client_.before_dispatch(job);
       char header[32];
-      std::snprintf(header, sizeof(header), "job %llu",
-                    static_cast<unsigned long long>(job.id));
+      std::snprintf(header, sizeof(header), "job %llu %d",
+                    static_cast<unsigned long long>(job.id),
+                    job.retire ? 1 : 0);
       const std::string frame =
           frame_encode(record_encode(header, job.payload));
       if (!write_all(s.ctl_wr, frame.data(), frame.size())) {

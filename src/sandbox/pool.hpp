@@ -19,7 +19,10 @@
 //     SIGKILL);
 //   * a worker that dies — crash, OOM, deadline, corrupt frame, lost
 //     heartbeat — is reaped by a SIGCHLD-aware waitpid loop (no zombies)
-//     and respawned with exponential backoff, up to a per-slot budget;
+//     and respawned with exponential backoff, up to a per-slot budget.
+//     Budget and backoff count only consecutive deaths that resolved no
+//     job: a result, or a failure the client settles as Done, resets
+//     them, so a sweep of many crashing jobs keeps its containment;
 //     the in-flight job is handed back to the client, which decides
 //     Retry (requeued at the front, dispatched to a fresh worker) or Done;
 //   * a job flagged Job::retire drains its worker once its result is in:
@@ -140,7 +143,9 @@ struct PoolConfig {
   int heartbeat_timeout_ms = 2000;   ///< supervisor-side silence budget
   double job_deadline_sec = 0.0;     ///< per-job wall deadline; 0 = none
   int term_grace_ms = 2000;          ///< SIGTERM -> SIGKILL grace
-  int max_respawns = 8;              ///< per-slot respawn budget
+  /// Per-slot budget of consecutive deaths without a resolved job (a
+  /// result or a Done failure resets it); 0 = never respawn.
+  int max_respawns = 8;
   int respawn_backoff_ms = 25;       ///< doubles per respawn, capped at 2 s
   /// rlimits applied to each worker as given. RLIMIT_CPU accrues over a
   /// worker's whole life, so cpu_seconds bounds a job only when its worker

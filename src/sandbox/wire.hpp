@@ -14,7 +14,11 @@
 // inherits the identical table — the dictionary is "established at hello
 // time" without shipping a single byte of it. Ids are append-only and
 // stable, so the supervisor may keep interning after the fork without
-// invalidating refs a worker encodes against the pre-fork prefix.
+// invalidating refs a worker encodes against the pre-fork prefix — but
+// only in the worker->supervisor direction. Everything the supervisor
+// encodes for workers (job descriptors) must use strings interned before
+// the pool forks: a ref to a later entry is out of range, or names a
+// different string, in workers that are already running.
 //
 // Strings outside the seeded vocabulary still travel: the first use in a
 // blob writes an inline definition (kInlineDef + length + bytes) that the

@@ -695,6 +695,7 @@ void Executor::run() {
       channel.set_metadata("sandbox_child_user_sec",
                            pool_stats_.child_user_sec);
       channel.set_metadata("sandbox_child_sys_sec", pool_stats_.child_sys_sec);
+      channel.set_metadata("sandbox_degraded", degraded_ ? "true" : "false");
       if (params_.workers > 0) {
         // Worker-pool supervision summary (process-wide, same in every
         // slice): how many workers were spawned/recycled and why, so a
@@ -713,7 +714,6 @@ void Executor::run() {
                              std::to_string(pool_stats_.corrupt_frames));
         channel.set_metadata("pool_peak_queue_depth",
                              std::to_string(pool_stats_.peak_queue_depth));
-        channel.set_metadata("sandbox_degraded", degraded_ ? "true" : "false");
         // Effective payload carrier: "shm" only when every spawned worker
         // actually got a ring; a partial ring failure is "mixed", a total
         // one (or --transport json) is "json" (CRC pipe frames). The

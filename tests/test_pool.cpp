@@ -470,9 +470,12 @@ TEST_F(PoolTest, RetiredWorkersRespawnWithoutBudgetOrBackoff) {
   // One worker retired after every job: 12 clean exits, 12 fresh
   // processes. A retirement is not a recycle, so it neither spends the
   // respawn budget (8 would run out before job 10) nor waits for the
-  // doubling backoff (about 11 s over 11 respawns).
+  // doubling backoff (about 11 s over 11 respawns). A long heartbeat
+  // period also catches a worker whose exit waits out a beat interval
+  // (a stop signalled before its heartbeat thread first waits).
   PoolConfig cfg;
   cfg.workers = 1;
+  cfg.heartbeat_interval_ms = 1000;
   ASSERT_EQ(cfg.max_respawns, 8);
   PoolClient client;
   client.run_job = [](const std::string&) {
@@ -508,6 +511,84 @@ TEST_F(PoolTest, RetiredWorkersRespawnWithoutBudgetOrBackoff) {
   EXPECT_EQ(pool.stats().recycles, 0u);
   EXPECT_EQ(pids.size(), 12u);  // every job ran in its own process
   EXPECT_LT(wall, 5.0);
+  expect_no_children();
+}
+
+TEST_F(PoolTest, SettledCrashesDoNotSpendTheRespawnBudget) {
+  // One worker, 12 jobs that each kill their worker; the client settles
+  // every failure as Done. A settled job is progress, so each death is the
+  // first of its run: all 12 crash, none degrades the pool, and none waits
+  // for the doubling backoff (about 9 s over 11 respawns).
+  PoolConfig cfg;
+  cfg.workers = 1;
+  ASSERT_EQ(cfg.max_respawns, 8);
+  PoolClient client;
+  client.run_job = [](const std::string&) -> std::string {
+    raise(SIGKILL);
+    return "survived";
+  };
+  client.on_result = [](const Job&, const std::string&) {
+    ADD_FAILURE() << "killed job produced a result";
+    return Disposition::Done;
+  };
+  std::size_t failures = 0;
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    EXPECT_EQ(f.signal, SIGKILL) << f.describe();
+    ++failures;
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const auto start = std::chrono::steady_clock::now();
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 12) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  EXPECT_EQ(failures, 12u);
+  EXPECT_EQ(pool.stats().recycles, 12u);
+  EXPECT_LT(wall, 5.0);
+  expect_no_children();
+}
+
+TEST_F(PoolTest, UnsettledCrashLoopStillExhaustsTheRespawnBudget) {
+  // A job that kills every worker and is always retried resolves
+  // nothing: the budget runs out and the pool reports SpawnFailed rather
+  // than forking forever.
+  PoolConfig cfg;
+  cfg.workers = 1;
+  cfg.max_respawns = 3;
+  cfg.respawn_backoff_ms = 1;
+  PoolClient client;
+  client.run_job = [](const std::string&) -> std::string {
+    raise(SIGKILL);
+    return "survived";
+  };
+  std::size_t failures = 0;
+  client.on_failure = [&](const Job&, const JobFailure&) {
+    ++failures;
+    return Disposition::Retry;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 1) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::SpawnFailed);
+  EXPECT_EQ(failures, 4u);  // the first worker plus 3 respawns
+  EXPECT_EQ(pool.stats().spawns, 4u);
   expect_no_children();
 }
 

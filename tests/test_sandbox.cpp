@@ -311,6 +311,43 @@ TEST_F(SandboxTest, QuarantineStopsRetriesAndPersistsAcrossResume) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(SandboxTest, ManyCrashingCellsStayContained) {
+  // Twelve cells that segfault on every attempt, each retried once: 24
+  // worker deaths in one sweep, three times the pool's respawn budget,
+  // then Stream_TRIAD's two clean cells. Every settled cell resets the
+  // budget, so the sweep never degrades to in-process execution (where
+  // the next segv would kill this process).
+  RunParams p = sandbox_params();
+  const std::vector<std::string> crashing = {
+      "Basic_DAXPY", "Basic_MULADDSUB", "Stream_ADD",
+      "Stream_COPY", "Stream_DOT",      "Stream_MUL"};
+  p.kernel_filter = crashing;
+  p.kernel_filter.push_back("Stream_TRIAD");
+  p.fault_spec.clear();
+  for (const std::string& k : crashing) {
+    p.fault_spec += (p.fault_spec.empty() ? "segv@" : ",segv@") + k;
+  }
+  p.retries = 1;
+  Executor exec(p);
+  exec.run();  // the parent must survive
+
+  ASSERT_EQ(exec.results().size(), 14u);
+  for (const RunResult& r : exec.results()) {
+    if (r.kernel == "Stream_TRIAD") {
+      EXPECT_EQ(r.status, RunStatus::Passed);
+      continue;
+    }
+    EXPECT_EQ(r.status, RunStatus::Crashed) << r.kernel;
+    EXPECT_EQ(r.attempts, 2) << r.kernel;
+  }
+  EXPECT_EQ(exec.status_counts().at(RunStatus::Crashed), 12u);
+  EXPECT_FALSE(exec.degraded());
+  EXPECT_EQ(exec.pool_stats().recycles, 24u);
+  const auto profiles = exec.profiles();
+  ASSERT_FALSE(profiles.empty());
+  EXPECT_EQ(profiles[0].metadata.at("sandbox_degraded"), "false");
+}
+
 TEST_F(SandboxTest, IsolateKernelGroupsCellsPerWorker) {
   // Kernel granularity: one worker per kernel. A budget-1 segv kills the
   // DAXPY worker on its first cell; the respawned worker finishes the
