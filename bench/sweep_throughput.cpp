@@ -28,9 +28,13 @@
 //               shm-vs-pipe speedup is the ring carrier's reason to exist.
 //
 // The benchmark reports wall time and cells/second for every mode, checks
-// that every sandboxed cell's checksum is bit-identical to the in-process
-// one, and verifies a sample of the blocked fills byte-for-byte against
-// the serial LCG reference.
+// each sandboxed cell's checksum against the in-process one under the
+// kernel's declared determinism class, and verifies a sample of the
+// blocked fills byte-for-byte against the serial LCG reference. Every Seq
+// cell and every cell of a bit_exact kernel must match bit for bit; an
+// order_dependent kernel's OpenMP cells (PI_ATOMIC's contended atomic)
+// must agree within the derived KernelBase::parity_bound. The two classes
+// are reported separately, and a miss in either fails the run.
 //
 // Arrays stay at their default (size-factor 1.0) extents so fills, pool
 // traffic, and checksums are full-sized, but the measured rep loops run on
@@ -47,6 +51,7 @@
 //   sweep_throughput [--groups Stream,Basic,Lcals] [--size-factor F]
 //                    [--reps-factor F] [--npasses N] [--exclude A,B|none]
 //                    [--json PATH]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -54,6 +59,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,7 +83,9 @@ struct ModeResult {
   double setup_ms = 0.0;
   double checksum_ms = 0.0;
   double trace_overhead_pct = 0.0;  ///< sink's self-accounting (traced leg)
-  std::map<std::string, long double> checksums;
+  /// "kernel/variant/tuning" -> the cell's variant and checksum.
+  std::map<std::string, std::pair<rperf::suite::VariantID, long double>>
+      checksums;
 };
 
 /// One sweep from an empty pool, so no mode inherits another's warm chunks.
@@ -104,7 +112,7 @@ ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
     out.setup_ms += r.setup_ms;
     out.checksum_ms += r.checksum_ms;
     out.checksums[r.kernel + "/" + suite::to_string(r.variant) + "/" +
-                  r.tuning_name] = r.checksum;
+                  r.tuning_name] = {r.variant, r.checksum};
   }
   return out;
 }
@@ -235,29 +243,55 @@ int main(int argc, char** argv) {
   // store_append leg: the optimized path again with every cell landing
   // in the crash-consistent profile store (--store). The store's write
   // path is a handful of framed appends plus group-commit fsyncs per
-  // sweep, so its cost is gated at < 5% of suite wall time below.
+  // sweep, so its cost is gated at < 5% of suite wall time below. The
+  // gate compares the fastest of kStorePairs interleaved optimized/store
+  // pairs, as the suite times kernels by the fastest pass: other load on
+  // the host only ever adds wall time (on a 4-vCPU VM under a parallel
+  // ctest, one smoke-size optimized leg took 1.38 s against ~0.02 s
+  // alone).
+  constexpr int kStorePairs = 3;
   suite::RunParams stp = params;
   stp.store_dir = json_path + ".store";
-  std::filesystem::remove_all(stp.store_dir);
-  const ModeResult stored = run_mode(/*traced=*/false, stp);
-  const double store_overhead_pct =
-      (stored.wall_sec / opt.wall_sec - 1.0) * 100.0;
-  // Every terminal cell must have durably landed as a committed record
-  // of one complete, content-addressed run.
+  double opt_best_sec = opt.wall_sec;
+  double store_best_sec = 0.0;
+  ModeResult stored;
+  // Every store leg must pass every cell, and every terminal cell must
+  // have durably landed as a committed record of one complete, content-
+  // addressed run. Reported: the fewest cells landed, and whether every
+  // run was complete.
+  bool store_ok = true;
   std::size_t store_landed = 0;
-  bool store_run_complete = false;
-  {
-    store::StoreReader reader(stp.store_dir);
-    if (const store::StoredRun* run = reader.find("")) {
-      store_landed = run->cells.size();
-      store_run_complete = run->complete;
+  bool store_run_complete = true;
+  for (int pair = 0; pair < kStorePairs; ++pair) {
+    if (pair > 0) {
+      opt_best_sec =
+          std::min(opt_best_sec, run_mode(/*traced=*/false, params).wall_sec);
     }
+    std::filesystem::remove_all(stp.store_dir);
+    stored = run_mode(/*traced=*/false, stp);
+    store_best_sec =
+        pair == 0 ? stored.wall_sec : std::min(store_best_sec, stored.wall_sec);
+    std::size_t landed = 0;
+    bool complete = false;
+    {
+      store::StoreReader reader(stp.store_dir);
+      if (const store::StoredRun* run = reader.find("")) {
+        landed = run->cells.size();
+        complete = run->complete;
+      }
+    }
+    std::filesystem::remove_all(stp.store_dir);
+    store_landed = pair == 0 ? landed : std::min(store_landed, landed);
+    store_run_complete = store_run_complete && complete;
+    store_ok = store_ok && stored.passed == opt.passed &&
+               landed == stored.cells && complete;
   }
-  std::filesystem::remove_all(stp.store_dir);
-  std::printf("  store:     %.3f s wall (%+.1f%% vs optimized; %zu/%zu "
-              "cells landed, run %s)\n",
-              stored.wall_sec, store_overhead_pct, store_landed, stored.cells,
-              store_run_complete ? "complete" : "INCOMPLETE");
+  const double store_overhead_pct =
+      (store_best_sec / opt_best_sec - 1.0) * 100.0;
+  std::printf("  store:     %.3f s wall (%+.1f%% vs optimized, fastest of "
+              "%d pairs; %zu/%zu cells landed, run %s)\n",
+              store_best_sec, store_overhead_pct, kStorePairs, store_landed,
+              stored.cells, store_run_complete ? "complete" : "INCOMPLETE");
 
   // traced leg: the optimized path again with the TraceSink recording,
   // cross-checking the sink's self-accounted trace_overhead_pct against
@@ -271,25 +305,52 @@ int main(int argc, char** argv) {
               "self-accounted overhead %.2f%%)\n",
               traced.wall_sec, traced_delta_pct, traced.trace_overhead_pct);
 
-  // Sandboxed results must be bit-identical to in-process ones: same code,
-  // same deterministic fills, only the executing process differs. Exact
-  // == (not memcmp: x86 long double carries uninitialized padding bytes).
-  std::size_t sandbox_mismatched = 0;
+  // Sandboxed results must agree with in-process ones under each kernel's
+  // determinism class: same code, same deterministic fills, only the
+  // executing process differs. A zero parity bound means exact == (not
+  // memcmp: x86 long double carries uninitialized padding bytes).
+  std::map<std::string, std::unique_ptr<suite::KernelBase>> kernels;
+  for (auto& k : suite::make_kernels(params)) {
+    const std::string name = k->name();
+    kernels.emplace(name, std::move(k));
+  }
+  std::size_t sandbox_mismatched = 0;  // bit_exact cells
+  std::size_t order_checked = 0;
+  std::size_t order_out_of_bound = 0;
+  double order_max_ratio = 0.0;  // largest |diff| / bound
   for (const auto* leg : {&forkcell, &pooled, &pooled_shm}) {
-    for (const auto& [key, sum] : leg->checksums) {
+    for (const auto& [key, cell] : leg->checksums) {
       const auto it = opt.checksums.find(key);
       if (it == opt.checksums.end()) continue;
-      if (sum != it->second) {
+      const auto& kernel = *kernels.at(key.substr(0, key.find('/')));
+      const auto [vid, sum] = cell;
+      const long double ref = it->second.second;
+      const long double bound = kernel.parity_bound(vid, ref);
+      const bool agree = kernel.checksums_agree(vid, ref, sum);
+      if (bound > 0.0L) {
+        ++order_checked;
+        order_max_ratio = std::max(
+            order_max_ratio,
+            static_cast<double>(std::fabs(sum - ref) / bound));
+        if (!agree) ++order_out_of_bound;
+      } else if (!agree) {
         ++sandbox_mismatched;
+      }
+      if (!agree) {
         std::fprintf(stderr,
-                     "  sandbox checksum mismatch %s: %.17Lg vs %.17Lg\n",
-                     key.c_str(), sum, it->second);
+                     "  sandbox checksum mismatch %s (%s): %.17Lg vs %.17Lg "
+                     "(bound %.3Lg)\n",
+                     key.c_str(), suite::to_string(kernel.determinism()).c_str(),
+                     sum, ref, bound);
       }
     }
   }
   const bool bit_identical = fills_bit_identical();
-  std::printf("  %zu sandbox checksums mismatched; fills bit-identical: %s\n",
-              sandbox_mismatched, bit_identical ? "yes" : "NO");
+  std::printf("  %zu bit_exact sandbox checksums mismatched; %zu "
+              "order_dependent cells checked, %zu out of bound (max "
+              "|diff|/bound %.3g); fills bit-identical: %s\n",
+              sandbox_mismatched, order_checked, order_out_of_bound,
+              order_max_ratio, bit_identical ? "yes" : "NO");
 
   json::Object o;
   o["groups"] = groups;
@@ -312,7 +373,8 @@ int main(int argc, char** argv) {
   tr["measured_delta_pct"] = traced_delta_pct;
   o["traced"] = std::move(tr);
   json::Object st;
-  st["wall_sec"] = stored.wall_sec;
+  st["wall_sec"] = store_best_sec;
+  st["pairs"] = static_cast<std::int64_t>(kStorePairs);
   st["cells_passed"] = static_cast<std::int64_t>(stored.passed);
   st["cells_landed"] = static_cast<std::int64_t>(store_landed);
   st["run_complete"] = store_run_complete;
@@ -341,19 +403,25 @@ int main(int argc, char** argv) {
   o["pooled_shm_vs_pooled_speedup"] = shm_speedup;
   o["sandbox_checksums_mismatched"] =
       static_cast<std::int64_t>(sandbox_mismatched);
+  o["order_dependent_cells_checked"] =
+      static_cast<std::int64_t>(order_checked);
+  o["order_dependent_cells_out_of_bound"] =
+      static_cast<std::int64_t>(order_out_of_bound);
+  o["order_dependent_max_diff_over_bound"] = order_max_ratio;
   o["fills_bit_identical"] = bit_identical;
 
   std::ofstream os(json_path);
   os << json::Value(std::move(o)).dump(2) << '\n';
   std::printf("  wrote %s\n", json_path.c_str());
 
-  if (sandbox_mismatched > 0 || !bit_identical) return 1;
+  if (sandbox_mismatched > 0 || order_out_of_bound > 0 || !bit_identical) {
+    return 1;
+  }
   if (opt.passed == 0) return 1;
   if (traced.passed != opt.passed) return 1;
   // The store leg gates both function (every cell committed to one
   // complete run) and cost (< 5% of the suite's wall time).
-  if (stored.passed != opt.passed || store_landed != stored.cells ||
-      !store_run_complete) {
+  if (!store_ok) {
     std::fprintf(stderr, "  store leg lost cells: %zu/%zu landed\n",
                  store_landed, stored.cells);
     return 1;
@@ -363,7 +431,7 @@ int main(int argc, char** argv) {
   // applies once the absolute delta is measurable (>= 50 ms); at real
   // bench sizes 5% of the wall time is far above that floor.
   if (store_overhead_pct >= 5.0 &&
-      stored.wall_sec - opt.wall_sec >= 0.05) {
+      store_best_sec - opt_best_sec >= 0.05) {
     std::fprintf(stderr, "  store overhead %.1f%% exceeds the 5%% budget\n",
                  store_overhead_pct);
     return 1;

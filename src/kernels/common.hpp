@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include <omp.h>
+
 #include "port/port.hpp"
 #include "suite/data_utils.hpp"
 #include "suite/kernel_base.hpp"
@@ -114,9 +116,22 @@ void run_forall(VariantID vid, Index_type begin, Index_type end,
   }
 }
 
+/// One thread's partial sum, padded to a cache line so the team's slots
+/// never share one.
+struct alignas(64) PartialSlot {
+  double value;
+};
+
 /// Sum-reduction analogue of run_forall: body(i, sum) accumulates into a
 /// local double; the final value lands in *result once per repetition via
 /// `commit(sum)`.
+///
+/// Every variant is bit-exact run to run at a fixed thread count. The
+/// Base/Lambda OpenMP variants use no `reduction(+ : sum)` clause: libgomp
+/// folds the threads' partials into `sum` in the order the threads arrive,
+/// which moves the last digits between runs. Instead each thread sums its
+/// schedule(static) block into its own slot, and the slots are folded into
+/// `init` in ascending thread order after the region.
 template <typename Body, typename Commit>
 void run_sum_reduction(VariantID vid, Index_type begin, Index_type end,
                        Index_type reps, double init, Body&& body,
@@ -148,11 +163,26 @@ void run_sum_reduction(VariantID vid, Index_type begin, Index_type end,
     }
     case VariantID::Base_OpenMP:
     case VariantID::Lambda_OpenMP: {
+      // A team is never larger than omp_get_max_threads() outside a
+      // parallel region, so one slot array serves every repetition.
+      std::vector<PartialSlot> partials(
+          static_cast<std::size_t>(omp_get_max_threads()));
       for (Index_type r = 0; r < reps; ++r) {
+        int team = 1;
+#pragma omp parallel
+        {
+          const int t = omp_get_thread_num();
+          if (t == 0) team = omp_get_num_threads();
+          double local = 0.0;
+#pragma omp for schedule(static) nowait
+          for (Index_type i = begin; i < end; ++i) {
+            body(i, local);
+          }
+          partials[static_cast<std::size_t>(t)].value = local;
+        }
         double sum = init;
-#pragma omp parallel for reduction(+ : sum)
-        for (Index_type i = begin; i < end; ++i) {
-          body(i, sum);
+        for (int t = 0; t < team; ++t) {
+          sum += partials[static_cast<std::size_t>(t)].value;
         }
         commit(sum);
       }

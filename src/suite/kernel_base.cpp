@@ -12,6 +12,14 @@
 
 namespace rperf::suite {
 
+long double order_dependent_bound(Index_type n, long double sum) {
+  if (n <= 1) return 0.0L;
+  const long double u = std::ldexp(1.0L, -53);  // double's unit roundoff
+  const long double ku = static_cast<long double>(n - 1) * u;
+  const long double gamma = ku / (1.0L - ku);
+  return 2.0L * gamma * std::fabs(sum) / (1.0L - gamma);
+}
+
 KernelBase::KernelBase(std::string base_name, GroupID group,
                        const RunParams& params)
     : base_name_(std::move(base_name)),
@@ -35,6 +43,21 @@ bool KernelBase::has_variant(VariantID v) const {
 }
 
 std::vector<VariantID> KernelBase::variants() const { return variants_; }
+
+long double KernelBase::parity_bound(VariantID vid,
+                                     long double reference) const {
+  if (determinism_ == Determinism::BitExact || !is_openmp_variant(vid)) {
+    return 0.0L;
+  }
+  return order_dependent_bound(actual_size_, reference);
+}
+
+bool KernelBase::checksums_agree(VariantID vid, long double reference,
+                                 long double candidate) const {
+  const long double bound = parity_bound(vid, reference);
+  if (bound == 0.0L) return candidate == reference;
+  return std::fabs(candidate - reference) <= bound;
+}
 
 void KernelBase::add_variant(VariantID v) {
   if (!has_variant(v)) variants_.push_back(v);

@@ -35,6 +35,16 @@ class KernelTimeout : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// How far two recursive sums of the same n nonnegative addends, taken in
+/// any two orders, can differ, given one of them (`sum`): Higham, Accuracy
+/// and Stability of Numerical Algorithms, 2nd ed., §4.2, eq. 4.4 bounds
+/// each computed sum by |s^ - S| <= g*S with g = gamma_{n-1} =
+/// (n-1)u/(1-(n-1)u), u = 2^-53, for any order. Since S <= |s^|/(1-g),
+/// two orders differ by at most 2g|s^|/(1-g). The bound also holds for a
+/// power-of-two multiple of such a sum, which scales exactly. 0 for n <= 1.
+[[nodiscard]] long double order_dependent_bound(Index_type n,
+                                                long double sum);
+
 class KernelBase {
  public:
   KernelBase(std::string base_name, GroupID group, const RunParams& params);
@@ -56,6 +66,25 @@ class KernelBase {
   [[nodiscard]] std::vector<FeatureID> features() const;
   [[nodiscard]] bool has_variant(VariantID v) const;
   [[nodiscard]] std::vector<VariantID> variants() const;
+
+  // ----- checksum determinism -----
+  /// The kernel's declared class (BitExact unless the constructor says
+  /// otherwise). A kernel declares OrderDependent only when its OpenMP
+  /// checksum is a power-of-two multiple of one sum of actual_prob_size()
+  /// nonnegative addends, each computed the same way in any order, that
+  /// the threads accumulate in schedule order (PI_ATOMIC's contended
+  /// atomic): the shape order_dependent_bound is derived for.
+  [[nodiscard]] Determinism determinism() const { return determinism_; }
+  /// Largest |difference| two runs of the (vid) cell may show, given one
+  /// run's checksum `reference`: 0 for BitExact kernels and for every Seq
+  /// variant, order_dependent_bound(actual_prob_size(), reference) for an
+  /// OrderDependent kernel's OpenMP variants.
+  [[nodiscard]] long double parity_bound(VariantID vid,
+                                         long double reference) const;
+  /// The parity check between two runs of the same (vid) cell: exact ==
+  /// where parity_bound is 0, else |candidate - reference| within it.
+  [[nodiscard]] bool checksums_agree(VariantID vid, long double reference,
+                                     long double candidate) const;
 
   /// Tunings: named execution-parameter configurations (e.g. tile sizes,
   /// scheduling policies). Every kernel has at least "default".
@@ -128,6 +157,7 @@ class KernelBase {
   }
   void add_variant(VariantID v);
   void add_all_variants();
+  void set_determinism(Determinism d) { determinism_ = d; }
   /// Register an additional named tuning (index = registration order;
   /// "default" is always index 0).
   void add_tuning(const std::string& name);
@@ -149,6 +179,7 @@ class KernelBase {
   Complexity complexity_ = Complexity::N;
   std::uint32_t features_ = 0u;
   std::vector<VariantID> variants_;
+  Determinism determinism_ = Determinism::BitExact;
 
   Index_type default_size_ = 100000;
   Index_type default_reps_ = 10;

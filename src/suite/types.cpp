@@ -76,6 +76,14 @@ std::string to_string(IsolationMode m) {
   return "?";
 }
 
+std::string to_string(Determinism d) {
+  switch (d) {
+    case Determinism::BitExact: return "bit_exact";
+    case Determinism::OrderDependent: return "order_dependent";
+  }
+  return "?";
+}
+
 const std::vector<RunStatus>& all_run_statuses() {
   static const std::vector<RunStatus> statuses = {
       RunStatus::Passed,      RunStatus::Failed,

@@ -70,6 +70,14 @@ enum class IsolationMode {
            ///< (kernel, variant, tuning)
 };
 
+/// How far two runs of the same (kernel, variant, tuning) cell may move its
+/// checksum at a fixed thread count (in-process vs sandboxed, run vs run).
+enum class Determinism {
+  BitExact,        ///< identical bits on every run
+  OrderDependent,  ///< OpenMP cells accumulate in thread-schedule order;
+                   ///< they agree within KernelBase::parity_bound
+};
+
 /// Computational complexity relative to problem (storage) size.
 enum class Complexity {
   N,        // O(n)
@@ -84,6 +92,7 @@ enum class Complexity {
 [[nodiscard]] std::string to_string(FeatureID f);
 [[nodiscard]] std::string to_string(RunStatus s);
 [[nodiscard]] std::string to_string(IsolationMode m);
+[[nodiscard]] std::string to_string(Determinism d);
 
 /// Every terminal RunStatus, in enum order (used for taxonomy tables).
 [[nodiscard]] const std::vector<RunStatus>& all_run_statuses();
