@@ -243,55 +243,29 @@ int main(int argc, char** argv) {
   // store_append leg: the optimized path again with every cell landing
   // in the crash-consistent profile store (--store). The store's write
   // path is a handful of framed appends plus group-commit fsyncs per
-  // sweep, so its cost is gated at < 5% of suite wall time below. The
-  // gate compares the fastest of kStorePairs interleaved optimized/store
-  // pairs, as the suite times kernels by the fastest pass: other load on
-  // the host only ever adds wall time (on a 4-vCPU VM under a parallel
-  // ctest, one smoke-size optimized leg took 1.38 s against ~0.02 s
-  // alone).
-  constexpr int kStorePairs = 3;
+  // sweep, so its cost is gated at < 5% of suite wall time below.
   suite::RunParams stp = params;
   stp.store_dir = json_path + ".store";
-  double opt_best_sec = opt.wall_sec;
-  double store_best_sec = 0.0;
-  ModeResult stored;
-  // Every store leg must pass every cell, and every terminal cell must
-  // have durably landed as a committed record of one complete, content-
-  // addressed run. Reported: the fewest cells landed, and whether every
-  // run was complete.
-  bool store_ok = true;
-  std::size_t store_landed = 0;
-  bool store_run_complete = true;
-  for (int pair = 0; pair < kStorePairs; ++pair) {
-    if (pair > 0) {
-      opt_best_sec =
-          std::min(opt_best_sec, run_mode(/*traced=*/false, params).wall_sec);
-    }
-    std::filesystem::remove_all(stp.store_dir);
-    stored = run_mode(/*traced=*/false, stp);
-    store_best_sec =
-        pair == 0 ? stored.wall_sec : std::min(store_best_sec, stored.wall_sec);
-    std::size_t landed = 0;
-    bool complete = false;
-    {
-      store::StoreReader reader(stp.store_dir);
-      if (const store::StoredRun* run = reader.find("")) {
-        landed = run->cells.size();
-        complete = run->complete;
-      }
-    }
-    std::filesystem::remove_all(stp.store_dir);
-    store_landed = pair == 0 ? landed : std::min(store_landed, landed);
-    store_run_complete = store_run_complete && complete;
-    store_ok = store_ok && stored.passed == opt.passed &&
-               landed == stored.cells && complete;
-  }
+  std::filesystem::remove_all(stp.store_dir);
+  const ModeResult stored = run_mode(/*traced=*/false, stp);
   const double store_overhead_pct =
-      (store_best_sec / opt_best_sec - 1.0) * 100.0;
-  std::printf("  store:     %.3f s wall (%+.1f%% vs optimized, fastest of "
-              "%d pairs; %zu/%zu cells landed, run %s)\n",
-              store_best_sec, store_overhead_pct, kStorePairs, store_landed,
-              stored.cells, store_run_complete ? "complete" : "INCOMPLETE");
+      (stored.wall_sec / opt.wall_sec - 1.0) * 100.0;
+  // Every terminal cell must have durably landed as a committed record
+  // of one complete, content-addressed run.
+  std::size_t store_landed = 0;
+  bool store_run_complete = false;
+  {
+    store::StoreReader reader(stp.store_dir);
+    if (const store::StoredRun* run = reader.find("")) {
+      store_landed = run->cells.size();
+      store_run_complete = run->complete;
+    }
+  }
+  std::filesystem::remove_all(stp.store_dir);
+  std::printf("  store:     %.3f s wall (%+.1f%% vs optimized; %zu/%zu "
+              "cells landed, run %s)\n",
+              stored.wall_sec, store_overhead_pct, store_landed, stored.cells,
+              store_run_complete ? "complete" : "INCOMPLETE");
 
   // traced leg: the optimized path again with the TraceSink recording,
   // cross-checking the sink's self-accounted trace_overhead_pct against
@@ -307,8 +281,8 @@ int main(int argc, char** argv) {
 
   // Sandboxed results must agree with in-process ones under each kernel's
   // determinism class: same code, same deterministic fills, only the
-  // executing process differs. A zero parity bound means exact == (not
-  // memcmp: x86 long double carries uninitialized padding bytes).
+  // executing process differs. An order_dependent kernel's OpenMP cells
+  // are held to their parity bound; every other cell to exact ==.
   std::map<std::string, std::unique_ptr<suite::KernelBase>> kernels;
   for (auto& k : suite::make_kernels(params)) {
     const std::string name = k->name();
@@ -325,9 +299,12 @@ int main(int argc, char** argv) {
       const auto& kernel = *kernels.at(key.substr(0, key.find('/')));
       const auto [vid, sum] = cell;
       const long double ref = it->second.second;
+      const bool order_dependent =
+          kernel.determinism() == suite::Determinism::OrderDependent &&
+          suite::is_openmp_variant(vid);
       const long double bound = kernel.parity_bound(vid, ref);
-      const bool agree = kernel.checksums_agree(vid, ref, sum);
-      if (bound > 0.0L) {
+      const bool agree = suite::checksums_agree(bound, ref, sum);
+      if (order_dependent) {
         ++order_checked;
         order_max_ratio = std::max(
             order_max_ratio,
@@ -340,8 +317,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "  sandbox checksum mismatch %s (%s): %.17Lg vs %.17Lg "
                      "(bound %.3Lg)\n",
-                     key.c_str(), suite::to_string(kernel.determinism()).c_str(),
-                     sum, ref, bound);
+                     key.c_str(),
+                     order_dependent ? "order_dependent" : "bit_exact", sum,
+                     ref, bound);
       }
     }
   }
@@ -373,8 +351,7 @@ int main(int argc, char** argv) {
   tr["measured_delta_pct"] = traced_delta_pct;
   o["traced"] = std::move(tr);
   json::Object st;
-  st["wall_sec"] = store_best_sec;
-  st["pairs"] = static_cast<std::int64_t>(kStorePairs);
+  st["wall_sec"] = stored.wall_sec;
   st["cells_passed"] = static_cast<std::int64_t>(stored.passed);
   st["cells_landed"] = static_cast<std::int64_t>(store_landed);
   st["run_complete"] = store_run_complete;
@@ -421,7 +398,8 @@ int main(int argc, char** argv) {
   if (traced.passed != opt.passed) return 1;
   // The store leg gates both function (every cell committed to one
   // complete run) and cost (< 5% of the suite's wall time).
-  if (!store_ok) {
+  if (stored.passed != opt.passed || store_landed != stored.cells ||
+      !store_run_complete) {
     std::fprintf(stderr, "  store leg lost cells: %zu/%zu landed\n",
                  store_landed, stored.cells);
     return 1;
@@ -431,7 +409,7 @@ int main(int argc, char** argv) {
   // applies once the absolute delta is measurable (>= 50 ms); at real
   // bench sizes 5% of the wall time is far above that floor.
   if (store_overhead_pct >= 5.0 &&
-      store_best_sec - opt_best_sec >= 0.05) {
+      stored.wall_sec - opt.wall_sec >= 0.05) {
     std::fprintf(stderr, "  store overhead %.1f%% exceeds the 5%% budget\n",
                  store_overhead_pct);
     return 1;

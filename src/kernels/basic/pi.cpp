@@ -16,7 +16,7 @@ PI_ATOMIC::PI_ATOMIC(const RunParams& params)
   add_all_variants();
   // The OpenMP cells add the same n positive addends in schedule order;
   // the checksum is 4x that sum (exact), so runs agree within
-  // order_dependent_bound(n, checksum), not bit for bit.
+  // parity_bound, not bit for bit.
   set_determinism(suite::Determinism::OrderDependent);
 
   const double n = static_cast<double>(actual_prob_size());

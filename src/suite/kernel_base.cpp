@@ -12,12 +12,10 @@
 
 namespace rperf::suite {
 
-long double order_dependent_bound(Index_type n, long double sum) {
-  if (n <= 1) return 0.0L;
-  const long double u = std::ldexp(1.0L, -53);  // double's unit roundoff
-  const long double ku = static_cast<long double>(n - 1) * u;
-  const long double gamma = ku / (1.0L - ku);
-  return 2.0L * gamma * std::fabs(sum) / (1.0L - gamma);
+bool checksums_agree(long double bound, long double reference,
+                     long double candidate) {
+  if (bound == 0.0L) return candidate == reference;
+  return std::fabs(candidate - reference) <= bound;
 }
 
 KernelBase::KernelBase(std::string base_name, GroupID group,
@@ -46,17 +44,14 @@ std::vector<VariantID> KernelBase::variants() const { return variants_; }
 
 long double KernelBase::parity_bound(VariantID vid,
                                      long double reference) const {
-  if (determinism_ == Determinism::BitExact || !is_openmp_variant(vid)) {
+  if (determinism_ == Determinism::BitExact || !is_openmp_variant(vid) ||
+      actual_size_ <= 1) {
     return 0.0L;
   }
-  return order_dependent_bound(actual_size_, reference);
-}
-
-bool KernelBase::checksums_agree(VariantID vid, long double reference,
-                                 long double candidate) const {
-  const long double bound = parity_bound(vid, reference);
-  if (bound == 0.0L) return candidate == reference;
-  return std::fabs(candidate - reference) <= bound;
+  const long double u = std::ldexp(1.0L, -53);  // double's unit roundoff
+  const long double ku = static_cast<long double>(actual_size_ - 1) * u;
+  const long double gamma = ku / (1.0L - ku);
+  return 2.0L * gamma * std::fabs(reference) / (1.0L - gamma);
 }
 
 void KernelBase::add_variant(VariantID v) {

@@ -35,15 +35,12 @@ class KernelTimeout : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// How far two recursive sums of the same n nonnegative addends, taken in
-/// any two orders, can differ, given one of them (`sum`): Higham, Accuracy
-/// and Stability of Numerical Algorithms, 2nd ed., §4.2, eq. 4.4 bounds
-/// each computed sum by |s^ - S| <= g*S with g = gamma_{n-1} =
-/// (n-1)u/(1-(n-1)u), u = 2^-53, for any order. Since S <= |s^|/(1-g),
-/// two orders differ by at most 2g|s^|/(1-g). The bound also holds for a
-/// power-of-two multiple of such a sum, which scales exactly. 0 for n <= 1.
-[[nodiscard]] long double order_dependent_bound(Index_type n,
-                                                long double sum);
+/// The parity check between two runs of one cell, given the cell's
+/// KernelBase::parity_bound: exact == when the bound is 0 (not memcmp: x86
+/// long double carries uninitialized padding bytes), else |candidate -
+/// reference| within it.
+[[nodiscard]] bool checksums_agree(long double bound, long double reference,
+                                   long double candidate);
 
 class KernelBase {
  public:
@@ -73,18 +70,19 @@ class KernelBase {
   /// checksum is a power-of-two multiple of one sum of actual_prob_size()
   /// nonnegative addends, each computed the same way in any order, that
   /// the threads accumulate in schedule order (PI_ATOMIC's contended
-  /// atomic): the shape order_dependent_bound is derived for.
+  /// atomic): the shape parity_bound is derived for.
   [[nodiscard]] Determinism determinism() const { return determinism_; }
   /// Largest |difference| two runs of the (vid) cell may show, given one
   /// run's checksum `reference`: 0 for BitExact kernels and for every Seq
-  /// variant, order_dependent_bound(actual_prob_size(), reference) for an
-  /// OrderDependent kernel's OpenMP variants.
+  /// variant. For an OrderDependent kernel's OpenMP variants it is
+  /// Higham's recursive-summation bound (Accuracy and Stability of
+  /// Numerical Algorithms, 2nd ed., §4.2, eq. 4.4): any order of summing n
+  /// = actual_prob_size() nonnegative addends gives |s^ - S| <= g*S with
+  /// g = gamma_{n-1} = (n-1)u/(1-(n-1)u), u = 2^-53. Since S <= |s^|/(1-g),
+  /// two orders differ by at most 2g|reference|/(1-g); a power-of-two
+  /// multiple of such a sum scales exactly. 0 when n <= 1.
   [[nodiscard]] long double parity_bound(VariantID vid,
                                          long double reference) const;
-  /// The parity check between two runs of the same (vid) cell: exact ==
-  /// where parity_bound is 0, else |candidate - reference| within it.
-  [[nodiscard]] bool checksums_agree(VariantID vid, long double reference,
-                                     long double candidate) const;
 
   /// Tunings: named execution-parameter configurations (e.g. tile sizes,
   /// scheduling policies). Every kernel has at least "default".

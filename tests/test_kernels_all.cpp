@@ -134,7 +134,8 @@ TEST_P(KernelSuiteTest, OpenMPRunsAgreeUnderTheirDeterminismClass) {
     for (int run = 0; run < 3; ++run) {
       kernel->execute(v, channel);
       const long double again = kernel->checksum(v);
-      EXPECT_TRUE(kernel->checksums_agree(v, first, again))
+      EXPECT_TRUE(checksums_agree(kernel->parity_bound(v, first), first,
+                                  again))
           << GetParam() << " " << to_string(v) << ": "
           << static_cast<double>(first) << " vs "
           << static_cast<double>(again);
@@ -206,8 +207,6 @@ long double higham_bound(long double n, long double c) {
 }
 
 TEST(ParityBoundTest, IsZeroForOneAddend) {
-  EXPECT_EQ(order_dependent_bound(1, 3.0L), 0.0L);
-  EXPECT_EQ(order_dependent_bound(0, 3.0L), 0.0L);
   RunParams p = tiny_params();
   p.size_override = 1;
   const auto pi = make_kernel("Basic_PI_ATOMIC", p);
@@ -251,8 +250,8 @@ TEST(ParityBoundTest, RejectsOneUlpPastTheBound) {
   for (double sign : {1.0, -1.0}) {
     const double inside = c + sign * steps * ulp;
     const double past = c + sign * (steps + 1) * ulp;
-    EXPECT_TRUE(pi->checksums_agree(v, c, inside)) << sign;
-    EXPECT_FALSE(pi->checksums_agree(v, c, past)) << sign;
+    EXPECT_TRUE(checksums_agree(bound, c, inside)) << sign;
+    EXPECT_FALSE(checksums_agree(bound, c, past)) << sign;
   }
 }
 
@@ -265,15 +264,18 @@ TEST(ParityBoundTest, BitExactCellsRejectOneUlp) {
   const auto dot = make_kernel("Stream_DOT", p);
   ASSERT_EQ(dot->determinism(), Determinism::BitExact);
   for (VariantID v : dot->variants()) {
-    EXPECT_EQ(dot->parity_bound(v, c), 0.0L) << to_string(v);
-    EXPECT_TRUE(dot->checksums_agree(v, c, c)) << to_string(v);
-    EXPECT_FALSE(dot->checksums_agree(v, c, up)) << to_string(v);
-    EXPECT_FALSE(dot->checksums_agree(v, c, down)) << to_string(v);
+    const long double bound = dot->parity_bound(v, c);
+    EXPECT_EQ(bound, 0.0L) << to_string(v);
+    EXPECT_TRUE(checksums_agree(bound, c, c)) << to_string(v);
+    EXPECT_FALSE(checksums_agree(bound, c, up)) << to_string(v);
+    EXPECT_FALSE(checksums_agree(bound, c, down)) << to_string(v);
   }
   // An order_dependent kernel's Seq cells are held to the same ==.
   const auto pi = make_kernel("Basic_PI_ATOMIC", p);
-  EXPECT_FALSE(pi->checksums_agree(VariantID::Base_Seq, c, up));
-  EXPECT_FALSE(pi->checksums_agree(VariantID::RAJA_Seq, c, down));
+  EXPECT_FALSE(
+      checksums_agree(pi->parity_bound(VariantID::Base_Seq, c), c, up));
+  EXPECT_FALSE(
+      checksums_agree(pi->parity_bound(VariantID::RAJA_Seq, c), c, down));
 }
 
 }  // namespace
