@@ -10,22 +10,18 @@
 //               checking the tracer's self-accounted overhead figure
 //               against the measured wall-time delta.
 //
-// Plus three sandboxed legs quantifying the cost of crash containment
+// Plus two sandboxed legs quantifying the cost of crash containment
 // (these run FIRST: they fork workers, and a fork after the in-process
 // legs have warmed libgomp's thread pool would deadlock):
 //
 //   forkcell  — --isolate cell: a one-worker pool that retires its worker
 //               after every cell, so each cell pays a fresh fork.
-//   pooled    — --workers 4 --transport json: four persistent pool
-//               workers sending their wire records inline in CRC pipe
-//               frames, which amortizes the fork and warm-up over the
-//               whole sweep. The pooled-vs-forkcell speedup is the
-//               persistent pool's reason to exist.
-//   pooled_shm— --workers 4 (default shm transport): the same pool and
-//               the same wire records over per-worker shared-memory rings,
-//               with kernel-affinity dispatch keeping repeat cells on the
-//               worker whose pool already holds their size classes. The
-//               shm-vs-pipe speedup is the ring carrier's reason to exist.
+//   pooled    — --workers 4: four persistent pool workers sending their
+//               wire records in CRC pipe frames, which amortizes the fork
+//               and warm-up over the whole sweep, with kernel-affinity
+//               dispatch keeping repeat cells on the worker whose pool
+//               already holds their size classes. The pooled-vs-forkcell
+//               speedup is the persistent pool's reason to exist.
 //
 // The benchmark reports wall time and cells/second for every mode, checks
 // each sandboxed cell's checksum against the in-process one under the
@@ -213,25 +209,14 @@ int main(int argc, char** argv) {
               static_cast<double>(forkcell.passed) / forkcell.wall_sec);
 
   sand.workers = 4;
-  sand.shm_transport = false;  // pipe-frame carrier: baseline for the shm leg
   const ModeResult pooled = run_mode(/*traced=*/false, sand);
   const double pooled_speedup = forkcell.wall_sec / pooled.wall_sec;
   std::printf("  pooled:    %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; 4 pooled workers, pipe frames, "
+              "(%.1f cells/s; 4 pooled workers, "
               "%.2fx vs forkcell)\n",
               pooled.wall_sec, pooled.passed, pooled.cells,
               static_cast<double>(pooled.passed) / pooled.wall_sec,
               pooled_speedup);
-
-  sand.shm_transport = true;
-  const ModeResult pooled_shm = run_mode(/*traced=*/false, sand);
-  const double shm_speedup = pooled.wall_sec / pooled_shm.wall_sec;
-  std::printf("  pooled_shm:%.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; 4 pooled workers, shm-ring transport, "
-              "%.2fx vs pipe-frame pooled)\n",
-              pooled_shm.wall_sec, pooled_shm.passed, pooled_shm.cells,
-              static_cast<double>(pooled_shm.passed) / pooled_shm.wall_sec,
-              shm_speedup);
 
   const ModeResult opt = run_mode(/*traced=*/false, params);
   std::printf("  optimized: %.3f s wall, %zu/%zu cells passed "
@@ -292,7 +277,7 @@ int main(int argc, char** argv) {
   std::size_t order_checked = 0;
   std::size_t order_out_of_bound = 0;
   double order_max_ratio = 0.0;  // largest |diff| / bound
-  for (const auto* leg : {&forkcell, &pooled, &pooled_shm}) {
+  for (const auto* leg : {&forkcell, &pooled}) {
     for (const auto& [key, cell] : leg->checksums) {
       const auto it = opt.checksums.find(key);
       if (it == opt.checksums.end()) continue;
@@ -369,15 +354,7 @@ int main(int argc, char** argv) {
   pl["cells_per_sec"] = static_cast<double>(pooled.passed) / pooled.wall_sec;
   pl["workers"] = static_cast<std::int64_t>(4);
   o["sandbox_pooled"] = std::move(pl);
-  json::Object ps;
-  ps["wall_sec"] = pooled_shm.wall_sec;
-  ps["cells_passed"] = static_cast<std::int64_t>(pooled_shm.passed);
-  ps["cells_per_sec"] =
-      static_cast<double>(pooled_shm.passed) / pooled_shm.wall_sec;
-  ps["workers"] = static_cast<std::int64_t>(4);
-  o["sandbox_pooled_shm"] = std::move(ps);
   o["pooled_vs_fork_speedup"] = pooled_speedup;
-  o["pooled_shm_vs_pooled_speedup"] = shm_speedup;
   o["sandbox_checksums_mismatched"] =
       static_cast<std::int64_t>(sandbox_mismatched);
   o["order_dependent_cells_checked"] =
@@ -414,8 +391,7 @@ int main(int argc, char** argv) {
                  store_overhead_pct);
     return 1;
   }
-  if (forkcell.passed != opt.passed || pooled.passed != opt.passed ||
-      pooled_shm.passed != opt.passed) {
+  if (forkcell.passed != opt.passed || pooled.passed != opt.passed) {
     return 1;
   }
   return 0;

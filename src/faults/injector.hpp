@@ -60,13 +60,13 @@ enum class FaultKind {
   Oom,
   Hang,
   // Wire-level kinds (worker-pool coverage): queried explicitly by the
-  // pooled worker loop via fire_wire_fault, never by on_lifecycle, so
-  // they are inert outside --workers mode. 'hbdrop' silences the worker's
+  // pool worker's cell runner via fire_wire_fault, never by on_lifecycle,
+  // so they are inert in-process. 'hbdrop' silences the worker's
   // heartbeats and wedges it (the supervisor must detect the lost
-  // liveness); 'protocorrupt' corrupts the CRC of the worker's next
-  // result frame (the supervisor must detect the torn record instead of
-  // mis-parsing it). Both leave the worker doomed, so they count as
-  // process-fatal.
+  // liveness); 'protocorrupt' flips the CRC of the worker's next result
+  // frame, the one carrier of every worker record (the supervisor must
+  // detect the torn record instead of mis-parsing it). Both leave the
+  // worker doomed, so they count as process-fatal.
   HeartbeatDrop,
   ProtocolCorrupt,
   // Store-I/O kinds (rperf::store coverage): queried explicitly by the

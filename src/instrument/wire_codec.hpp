@@ -1,8 +1,8 @@
 // Binary wire codecs for the instrument layer's transportable snapshots
 // (Profile, TraceData) — the rperf::wire counterpart of profile_to_value
-// / TraceData::to_value, used for every worker record on both pool
-// carriers, so worker profiles and trace chunks merge into the supervisor
-// without a JSON round-trip.
+// / TraceData::to_value, used for every worker record the pool carries,
+// so worker profiles and trace chunks merge into the supervisor without a
+// JSON round-trip.
 //
 // Layout (all fields little-endian, strings per wire.hpp refs):
 //

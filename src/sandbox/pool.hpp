@@ -43,13 +43,9 @@
 //     caller degrades — e.g. to in-process execution — instead of
 //     aborting the sweep;
 //   * result and final payloads are opaque bytes to the pool. They travel
-//     over a per-worker shared-memory ring by default (protocol v3,
-//     sandbox/ring.hpp): the worker publishes sequence-stamped chunks and
-//     announces them with a small descriptor frame, and the supervisor
-//     drains rings from its poll loop via an eventfd doorbell. A slot
-//     whose ring cannot be created, or a pool configured with
-//     Transport::Json, carries the same payloads inline in CRC pipe frames
-//     (protocol v2).
+//     inline in the same CRC32 pipe frames as every other record: one
+//     carrier, so a large result simply blocks its worker's write until
+//     the supervisor's poll loop has read it.
 //
 // Workers are created by fork WITHOUT exec: the parent's warm kernel
 // registry, parsed parameters, armed fault injector and wire dictionary
@@ -125,15 +121,6 @@ enum class Disposition {
   Abort,  ///< stop dispatching queued work; finish in-flight jobs, drain
 };
 
-/// How worker->supervisor payloads travel (protocol.hpp: v3 vs v2). The
-/// payload bytes are the same on both carriers.
-enum class Transport {
-  Shm,   ///< per-worker shared-memory ring + descriptor frames (v3)
-  Json,  ///< payloads inline in CRC-framed pipe records (v2); the name is
-         ///< the CLI's (--transport json)
-};
-[[nodiscard]] std::string to_string(Transport t);
-
 struct PoolConfig {
   int workers = 2;
   /// Bounded pending queue; 0 means 2 * workers. Backpressure: next_job
@@ -163,12 +150,6 @@ struct PoolConfig {
   /// beyond the cap stay resident as warm per-key partitions (see
   /// Job::affinity) and crash-containment spares.
   std::size_t max_inflight = 0;
-  /// Result/final payload transport. Shm falls back to Json per worker
-  /// when ring setup fails (counted in PoolStats::ring_fallbacks).
-  Transport transport = Transport::Shm;
-  /// Per-worker ring capacity in bytes (power of two, >= 4096). Larger
-  /// payloads stream through in chunks; see sandbox/ring.hpp.
-  std::size_t ring_bytes = 1u << 20;
 };
 
 struct PoolStats {
@@ -185,9 +166,10 @@ struct PoolStats {
   std::size_t peak_queue_depth = 0;  ///< high water of the pending queue
   std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
   std::size_t peak_measuring = 0;    ///< high water of jobs holding a slot
-  std::size_t shm_spawns = 0;        ///< spawns that got a shm ring
-  std::size_t ring_fallbacks = 0;    ///< spawns degraded to Json transport
-  std::uint64_t ring_messages = 0;   ///< payloads delivered over rings
+  // Always 0 (every payload rides a pipe frame); kept only because
+  // perfbench/driver.cpp reads them. Retires with the next benchmark change.
+  std::size_t ring_fallbacks = 0;
+  std::uint64_t ring_messages = 0;
   std::uint64_t ring_payload_bytes = 0;
   long peak_rss_kb = 0;              ///< max over reaped workers
   double child_user_sec = 0.0;       ///< summed over reaped workers
@@ -250,14 +232,10 @@ class WorkerPool {
   /// Stop the calling worker's heartbeat thread from beating. Models a
   /// live-but-silent worker; the supervisor must notice via timeout.
   static void suppress_heartbeats();
-  /// Corrupt the calling worker's next result: under the Json transport
-  /// the frame CRC is flipped; under Shm the next ring chunk's sequence
-  /// stamp is mangled (a simulated torn write). Either way the supervisor
-  /// must detect it and recycle the worker instead of mis-parsing.
+  /// Corrupt the calling worker's next result: its frame goes out with a
+  /// flipped CRC, which the supervisor must detect and recycle the worker
+  /// instead of mis-parsing.
   static void corrupt_next_frame();
-  /// Transport the calling worker actually uses (Json when ring setup
-  /// fell back, or in the parent process).
-  [[nodiscard]] static Transport current_transport();
 
  private:
   PoolConfig cfg_;

@@ -19,15 +19,10 @@
 // The client's own payloads (the executor's job descriptors, cell
 // results and trace chunks) are opaque bytes to the pool; the executor
 // encodes all of them as rperf::wire blobs (sandbox/wire.hpp). They ride
-// one of two carriers, announced by the version in the worker's hello:
-//
-//   v3 (the default): results and finals are published on a per-worker
-//      shared-memory ring (sandbox/ring.hpp) and announced by a small
-//      descriptor frame; the ring's sequence-stamped chunks provide the
-//      integrity check the frame CRC provides for inline bytes.
-//   v2: the same bytes travel inline in the result/final frames. Used
-//      when ring setup fails for a slot, or when the pool is configured
-//      for it (--transport json).
+// inline in the "result" and "final" frames, so the frame CRC guards
+// them like every other record. A payload larger than the pipe buffer
+// blocks the worker's write until the supervisor's poll loop reads it;
+// nothing is dropped.
 #pragma once
 
 #include <cstdint>
@@ -40,13 +35,9 @@
 
 namespace rperf::sandbox {
 
-/// Pool protocol version a worker without a ring announces in its hello
-/// (payloads inline in frames).
-inline constexpr int kProtocolVersionFramed = 2;
-
-/// Pool protocol version a worker with a shm ring announces in its hello
-/// (descriptor frames + ring payloads).
-inline constexpr int kProtocolVersionShm = 3;
+/// Pool protocol version every worker announces in its hello; the
+/// supervisor condemns a worker that claims any other.
+inline constexpr int kProtocolVersion = 2;
 
 /// Exit code a worker uses for "memory exhausted": either the injector's
 /// oom fault hit its allocation cap, or std::bad_alloc escaped the cell

@@ -1,6 +1,6 @@
 // rperf::wire — the one binary codec for every worker record (job
-// descriptor, cell result, profile, hwc sample, trace chunk), on both pool
-// carriers (shm ring and CRC pipe frames).
+// descriptor, cell result, profile, hwc sample, trace chunk), carried in
+// the pool's CRC pipe frames (sandbox/protocol.hpp).
 //
 // Modeled on Caliper's snapshot design: strings (region names, metric
 // and metadata keys) are interned once into an attribute dictionary, and

@@ -714,25 +714,10 @@ void Executor::run() {
                              std::to_string(pool_stats_.corrupt_frames));
         channel.set_metadata("pool_peak_queue_depth",
                              std::to_string(pool_stats_.peak_queue_depth));
-        // Effective payload carrier: "shm" only when every spawned worker
-        // actually got a ring; a partial ring failure is "mixed", a total
-        // one (or --transport json) is "json" (CRC pipe frames). The
-        // records are wire blobs on either carrier.
-        const char* transport = "json";
-        if (params_.shm_transport && pool_stats_.shm_spawns > 0) {
-          transport = pool_stats_.ring_fallbacks > 0 ? "mixed" : "shm";
-        }
-        channel.set_metadata("sandbox_transport", transport);
         channel.set_metadata("pool_affinity_hits",
                              std::to_string(pool_stats_.affinity_hits));
         channel.set_metadata("pool_peak_measuring",
                              std::to_string(pool_stats_.peak_measuring));
-        channel.set_metadata("pool_ring_messages",
-                             std::to_string(pool_stats_.ring_messages));
-        channel.set_metadata("pool_ring_payload_bytes",
-                             std::to_string(pool_stats_.ring_payload_bytes));
-        channel.set_metadata("pool_ring_fallbacks",
-                             std::to_string(pool_stats_.ring_fallbacks));
       }
     }
     // Memory-subsystem summary: how much memory the sweep reserved and how
@@ -962,10 +947,9 @@ std::string Executor::worker_run_cell(const std::string& payload) {
     if (r.status == RunStatus::Passed) profile = cali::to_profile(scratch);
   }
 
-  // Wire fault: torn result. On the pipe carrier the frame goes out with a
-  // bad CRC; on the ring the next chunk's sequence stamp is mangled.
-  // Either way the supervisor must reject the record and recycle this
-  // worker rather than mis-parse it.
+  // Wire fault: torn result. The result frame goes out with a bad CRC;
+  // the supervisor must reject the record and recycle this worker rather
+  // than mis-parse it.
   if (faults::injector().fire_wire_fault(faults::FaultKind::ProtocolCorrupt,
                                          r.kernel)) {
     sandbox::WorkerPool::corrupt_next_frame();
@@ -1141,8 +1125,6 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // RLIMIT_CPU accrues over a worker's whole life, so it bounds a cell (or
   // a kernel) only when the worker retires after it.
   if (disposable) cfg.limits.cpu_seconds = params_.sandbox_cpu_seconds;
-  cfg.transport = params_.shm_transport ? sandbox::Transport::Shm
-                                        : sandbox::Transport::Json;
   // Affinity dispatch scans the pending queue for unclaimed keys, so give
   // it a window wider than the default 2x workers: enough to see past one
   // kernel's contiguous (variant, tuning) cells to the next kernel.

@@ -135,12 +135,11 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
       p.heartbeat_timeout_ms = std::stoi(need_value(i, arg));
       ++i;
     } else if (arg == "--transport") {
+      // Accepted and ignored: every worker record rides CRC pipe frames.
+      // Kept only because perfbench/run.py passes it; retires with the
+      // next benchmark change.
       const std::string v = need_value(i, arg);
-      if (v == "shm") {
-        p.shm_transport = true;
-      } else if (v == "json") {
-        p.shm_transport = false;
-      } else {
+      if (v != "shm" && v != "json") {
         throw std::invalid_argument("--transport must be shm or json");
       }
       ++i;
@@ -227,10 +226,8 @@ std::string RunParams::usage() {
          "  --heartbeat-interval-ms N  pooled worker beat period\n"
          "  --heartbeat-timeout-ms N   recycle a pooled worker silent for\n"
          "                    this long (default 2000)\n"
-         "  --transport T     carrier for workers' binary wire records:\n"
-         "                    shm (default; per-worker shared-memory\n"
-         "                    rings) or json (the same records inline in\n"
-         "                    CRC pipe frames)\n";
+         "  --transport shm|json  ignored: worker records always ride\n"
+         "                    CRC-checked pipe frames\n";
 }
 
 }  // namespace rperf::suite

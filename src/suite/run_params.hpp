@@ -113,13 +113,6 @@ struct RunParams {
   /// Supervisor-side silence budget: a worker that produces no frame for
   /// this long is killed and recycled; its cell is retried elsewhere.
   int heartbeat_timeout_ms = 2000;
-  /// Carrier for worker records (always rperf::wire blobs): true (default,
-  /// --transport shm) uses per-worker shared-memory rings (pool protocol
-  /// v3); false (--transport json) puts the same records inline in CRC
-  /// pipe frames (v2). Shm falls back to the pipe per worker when ring
-  /// setup fails; the effective carrier is recorded in the
-  /// "sandbox_transport" profile metadata.
-  bool shm_transport = true;
 
   [[nodiscard]] bool wants_kernel(const std::string& name) const {
     if (kernel_filter.empty()) return true;

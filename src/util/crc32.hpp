@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) shared by every
-// layer that frames bytes for integrity: the sandbox pipe/shm protocol
+// layer that frames bytes for integrity: the sandbox pipe protocol
 // (sandbox/protocol.hpp) and the profile store's on-disk record and
 // footer framing (src/store/). One implementation, one table set — a
 // checksum written by any layer verifies in any other.

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -486,27 +487,46 @@ TEST_F(StoreTest, ForkedWriterSurvivesSigkill) {
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
     const std::string dir = base_ + "/kill" + std::to_string(round);
+    // The child signals its first durable commit with one byte, so the
+    // kill lands a fixed time after progress, not after fork: a loaded
+    // host cannot make it land before the run header exists.
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       // Child: commit cells until killed. _exit (never exit) so gtest
       // handlers don't run in the doomed copy.
+      ::close(ready[0]);
       try {
         store::StoreWriter w(dir);
         w.begin_run(small_config("kill"));
         for (std::size_t i = 0; i < 100000; ++i) {
           w.add_cell(make_cell(i));
           w.commit();
+          if (i == 0) {
+            const char byte = 'c';
+            if (::write(ready[1], &byte, 1) != 1) ::_exit(1);
+            ::close(ready[1]);
+          }
           ::usleep(200);
         }
       } catch (...) {
       }
       ::_exit(0);
     }
-    ::usleep(20000 + 17000 * round);
+    ::close(ready[1]);
+    char byte = 0;
+    ssize_t got_byte = 0;
+    do {
+      got_byte = ::read(ready[0], &byte, 1);
+    } while (got_byte < 0 && errno == EINTR);
+    ::close(ready[0]);
+    ::usleep(17000 * round);
     ::kill(pid, SIGKILL);
     int wstatus = 0;
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ASSERT_EQ(got_byte, 1) << "the writer died before its first commit";
 
     // The flock died with the child, so a new writer opens immediately;
     // recovery leaves exactly a contiguous committed prefix.

@@ -46,6 +46,18 @@ TEST(RunParams, RejectsBadArguments) {
   EXPECT_THROW(RunParams::parse(3, bad_variant), std::invalid_argument);
 }
 
+TEST(RunParams, TransportFlagIsAcceptedAndIgnored) {
+  // Scripts (the repo benchmark among them) still pass --transport from
+  // when the pool had two carriers: shm and json parse, anything else
+  // is still an error.
+  for (const char* carrier : {"shm", "json"}) {
+    const char* argv[] = {"prog", "--transport", carrier, "--npasses", "2"};
+    EXPECT_EQ(RunParams::parse(5, argv).npasses, 2) << carrier;
+  }
+  const char* bad[] = {"prog", "--transport", "udp"};
+  EXPECT_THROW(RunParams::parse(3, bad), std::invalid_argument);
+}
+
 TEST(RunParams, SizeOverrideBeatsFactor) {
   RunParams p;
   p.size_factor = 100.0;

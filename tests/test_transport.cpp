@@ -1,21 +1,21 @@
-// Tests for the v3 shm transport: the SPSC shared-memory ring
-// (wraparound, chunking, backpressure, torn-write detection, close
-// semantics), the wire snapshot codec (typed round-trips, dictionary
-// refs, raw-bit checksum parity against the v1 hexfloat path, fuzzed
-// decode robustness), the slice-by-8 CRC-32 equivalence, and the
-// pool-level transport behaviours (ring-create failure -> JSON fallback,
-// ring corruption -> ProtocolCorrupt recycle, affinity dispatch).
+// Tests for the worker records' one codec and one carrier: the wire
+// snapshot codec (typed round-trips, dictionary refs, raw-bit checksum
+// parity against the hexfloat path, fuzzed decode robustness), the
+// slice-by-8 CRC-32 equivalence, and the pool-level carrier behaviours
+// over CRC pipe frames (multi-MiB payloads far above the pipe buffer, no
+// drops under a slow supervisor, corruption -> ProtocolCorrupt recycle,
+// affinity dispatch).
 //
 // OpenMP note: pool tests fork workers from this process, so the fixture
 // pins OpenMP to one thread (a forked copy of a live libgomp thread pool
 // deadlocks).
 #include <gtest/gtest.h>
 #include <omp.h>
-#include <poll.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -29,22 +29,18 @@
 #include "instrument/wire_codec.hpp"
 #include "sandbox/pool.hpp"
 #include "sandbox/protocol.hpp"
-#include "sandbox/ring.hpp"
 #include "sandbox/wire.hpp"
 
 namespace {
 
 using namespace rperf;
 using sandbox::Disposition;
-using sandbox::Doorbell;
 using sandbox::FailReason;
 using sandbox::Job;
 using sandbox::JobFailure;
 using sandbox::PoolClient;
 using sandbox::PoolConfig;
 using sandbox::PoolOutcome;
-using sandbox::ShmRing;
-using sandbox::Transport;
 using sandbox::WorkerPool;
 
 /// Deterministic 64-bit LCG for reproducible pseudo-random test data.
@@ -61,177 +57,16 @@ std::string pattern_bytes(std::uint64_t seed, std::size_t n) {
   return out;
 }
 
-/// Pop chunks until one full message is assembled; spins through None for
-/// concurrent-writer tests. Returns false if the ring latched Corrupt.
-bool read_message(ShmRing& ring, std::string& out) {
-  out.clear();
-  for (;;) {
-    bool more = false;
-    switch (ring.read_chunk(out, more)) {
-      case ShmRing::ReadStatus::Corrupt:
-        return false;
-      case ShmRing::ReadStatus::None:
-        std::this_thread::yield();
-        continue;
-      case ShmRing::ReadStatus::Chunk:
-        if (!more) return true;
-        continue;
-    }
-  }
-}
-
 class TransportTest : public ::testing::Test {
  protected:
   void SetUp() override {
     omp_set_num_threads(1);
-    sandbox::ring_testing::fail_next_creates(0);
     sandbox::pool_testing::fail_next_forks(0);
   }
   void TearDown() override {
-    sandbox::ring_testing::fail_next_creates(0);
     sandbox::pool_testing::fail_next_forks(0);
   }
 };
-
-// ------------------------------------------------------------- shm ring
-
-TEST_F(TransportTest, RingRoundTripsMessagesAcrossWraparound) {
-  auto ring = ShmRing::create(4096);
-  ASSERT_NE(ring, nullptr);
-  // Cumulative traffic far exceeds the capacity, so the monotonic
-  // cursors lap the buffer many times and chunks split across the edge.
-  std::uint64_t seed = 11;
-  std::size_t total = 0;
-  for (int i = 0; i < 300; ++i) {
-    const std::size_t n = lcg(seed) % 3000;  // includes empty messages
-    const std::string msg = pattern_bytes(seed ^ n, n);
-    ASSERT_TRUE(ring->write_message(msg.data(), msg.size()));
-    std::string got;
-    ASSERT_TRUE(read_message(*ring, got)) << "iteration " << i;
-    ASSERT_EQ(got, msg) << "iteration " << i;
-    total += n;
-  }
-  EXPECT_GT(total, 50u * 4096u);
-  EXPECT_FALSE(ring->corrupt());
-}
-
-TEST_F(TransportTest, RingSplitsLargeMessagesIntoChunks) {
-  auto ring = ShmRing::create(1u << 20);
-  ASSERT_NE(ring, nullptr);
-  // > 2x kMaxChunkPayload forces a multi-chunk message even with the ring
-  // entirely empty; the reassembled bytes must be identical.
-  const std::string msg = pattern_bytes(99, ShmRing::kMaxChunkPayload * 2 + 777);
-  ASSERT_TRUE(ring->write_message(msg.data(), msg.size()));
-  std::string got;
-  bool more = false;
-  ASSERT_EQ(ring->read_chunk(got, more), ShmRing::ReadStatus::Chunk);
-  EXPECT_TRUE(more);  // first chunk announces a continuation
-  ASSERT_TRUE(read_message(*ring, got));  // drains the remaining chunks
-  // read_message cleared `got`; re-read from scratch is not possible, so
-  // assemble manually instead.
-  auto ring2 = ShmRing::create(1u << 20);
-  ASSERT_NE(ring2, nullptr);
-  ASSERT_TRUE(ring2->write_message(msg.data(), msg.size()));
-  std::string whole;
-  ASSERT_TRUE(read_message(*ring2, whole));
-  EXPECT_EQ(whole, msg);
-}
-
-TEST_F(TransportTest, RingBackpressureBlocksWriterAndDropsNothing) {
-  auto ring = ShmRing::create(4096);
-  ASSERT_NE(ring, nullptr);
-  // ~40x the capacity streams through a slow reader: the writer must
-  // block on the full ring (never drop or overwrite) and every byte must
-  // arrive in order.
-  constexpr int kMessages = 16;
-  constexpr std::size_t kMessageBytes = 10000;
-  std::vector<std::string> sent;
-  for (int i = 0; i < kMessages; ++i) {
-    sent.push_back(pattern_bytes(1000 + i, kMessageBytes));
-  }
-  std::atomic<bool> writer_ok{true};
-  std::thread writer([&] {
-    for (const std::string& m : sent) {
-      if (!ring->write_message(m.data(), m.size())) {
-        writer_ok = false;
-        return;
-      }
-    }
-  });
-  for (int i = 0; i < kMessages; ++i) {
-    if (i % 5 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    std::string got;
-    ASSERT_TRUE(read_message(*ring, got)) << "message " << i;
-    ASSERT_EQ(got, sent[i]) << "message " << i;
-    // The reader never observes more than the ring can hold — the proof
-    // the writer blocked instead of overwriting.
-    EXPECT_LE(ring->readable(), ring->capacity());
-  }
-  writer.join();
-  EXPECT_TRUE(writer_ok);
-  EXPECT_FALSE(ring->corrupt());
-}
-
-TEST_F(TransportTest, TornWriteIsDetectedAndLatchesTheRing) {
-  auto ring = ShmRing::create(4096);
-  ASSERT_NE(ring, nullptr);
-  const std::string ok = "fine";
-  ASSERT_TRUE(ring->write_message(ok.data(), ok.size()));
-  std::string got;
-  ASSERT_TRUE(read_message(*ring, got));
-  EXPECT_EQ(got, ok);
-
-  // A mangled sequence stamp models a torn/replayed write; the reader
-  // must refuse the chunk and latch, exactly like a CRC-failed frame.
-  ring->corrupt_next_chunk();
-  const std::string bad = "torn";
-  ASSERT_TRUE(ring->write_message(bad.data(), bad.size()));
-  bool more = false;
-  EXPECT_EQ(ring->read_chunk(got, more), ShmRing::ReadStatus::Corrupt);
-  EXPECT_TRUE(ring->corrupt());
-  // No resync: a good message behind the torn one is unreachable by
-  // design (the supervisor recycles the worker instead).
-  ASSERT_TRUE(ring->write_message(ok.data(), ok.size()));
-  EXPECT_EQ(ring->read_chunk(got, more), ShmRing::ReadStatus::Corrupt);
-}
-
-TEST_F(TransportTest, CloseUnblocksAWaitingWriter) {
-  auto ring = ShmRing::create(4096);
-  ASSERT_NE(ring, nullptr);
-  const std::string big = pattern_bytes(5, 100000);  // cannot ever fit
-  std::atomic<bool> write_result{true};
-  std::thread writer([&] {
-    write_result = ring->write_message(big.data(), big.size());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ring->close();
-  writer.join();
-  EXPECT_FALSE(write_result) << "write into a closed ring must fail";
-}
-
-TEST_F(TransportTest, RingRejectsBadCapacities) {
-  EXPECT_EQ(ShmRing::create(0), nullptr);
-  EXPECT_EQ(ShmRing::create(100), nullptr);    // below the floor
-  EXPECT_EQ(ShmRing::create(12288), nullptr);  // not a power of two
-  EXPECT_NE(ShmRing::create(4096), nullptr);
-}
-
-TEST_F(TransportTest, DoorbellWakesPollAndDrainsQuiet) {
-  auto bell = Doorbell::create();
-  ASSERT_NE(bell, nullptr);
-  EXPECT_FALSE(bell->drain()) << "fresh doorbell must be quiet";
-  bell->ring();
-  bell->ring();  // coalesces; still one wakeup
-  pollfd pfd{bell->poll_fd(), POLLIN, 0};
-  ASSERT_EQ(poll(&pfd, 1, 1000), 1);
-  EXPECT_TRUE(pfd.revents & POLLIN);
-  EXPECT_TRUE(bell->drain());
-  EXPECT_FALSE(bell->drain()) << "drained doorbell must go quiet";
-  pfd.revents = 0;
-  EXPECT_EQ(poll(&pfd, 1, 0), 0);
-}
 
 // ----------------------------------------------------------- wire codec
 
@@ -273,10 +108,9 @@ constexpr std::size_t kLdSignificant =
         : sizeof(long double);
 
 TEST_F(TransportTest, ChecksumRawBitsMatchHexfloatBitForBit) {
-  // Satellite acceptance: the ring's raw-bit checksum transport and the
-  // v1/v2 hexfloat string transport must reproduce the identical
-  // long-double bit pattern for every representable value a kernel
-  // checksum can take.
+  // The wire codec's raw-bit checksum encoding and the hexfloat string
+  // that progress.jsonl carries must reproduce the identical long-double
+  // bit pattern for every representable value a kernel checksum can take.
   const long double cases[] = {
       0.0L,
       -0.0L,
@@ -291,10 +125,10 @@ TEST_F(TransportTest, ChecksumRawBitsMatchHexfloatBitForBit) {
       9007199254740993.0L,       // first integer a double cannot hold
   };
   for (const long double v : cases) {
-    // v1/v2 path: C99 hexfloat printf -> strtold.
+    // progress.jsonl path: C99 hexfloat printf -> strtold.
     const long double via_hex =
         sandbox::checksum_from_hex(sandbox::checksum_to_hex(v));
-    // v3 path: raw bits through the wire codec.
+    // Worker-record path: raw bits through the wire codec.
     wire::Writer w;
     w.put_f80(v);
     wire::Reader r(w.buffer());
@@ -551,193 +385,124 @@ TEST_F(TransportTest, SliceBy8Crc32MatchesBytewiseReference) {
   }
 }
 
-// --------------------------------------------- pool-level transport paths
+// ------------------------------------------------- pool-level carrier
 
-TEST_F(TransportTest, PoolReportsShmTransportToWorkers) {
-  PoolConfig cfg;
-  cfg.workers = 2;
-  PoolClient client;
-  client.before_dispatch = [](Job& job) { job.payload = "q"; };
-  // The worker-side transport query drives the executor's encoding
-  // choice; under a healthy shm pool every worker must see Shm.
-  client.run_job = [](const std::string&) {
-    return to_string(WorkerPool::current_transport());
-  };
-  std::vector<std::string> results(4);
-  client.on_result = [&](const Job& job, const std::string& result) {
-    results[job.id] = result;
-    return Disposition::Done;
-  };
-  client.on_failure = [&](const Job&, const JobFailure& f) {
-    ADD_FAILURE() << "unexpected failure: " << f.describe();
-    return Disposition::Done;
-  };
+/// Run `jobs` payload-free jobs through `pool`, ids 0..jobs-1.
+PoolOutcome run_jobs(WorkerPool& pool, std::size_t jobs) {
   std::size_t next = 0;
-  WorkerPool pool(cfg, client);
-  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= results.size()) return std::nullopt;
+  return pool.run([&]() -> std::optional<Job> {
+    if (next >= jobs) return std::nullopt;
     Job j;
     j.id = next++;
     return j;
   });
-  EXPECT_EQ(out, PoolOutcome::Completed);
-  for (const std::string& r : results) EXPECT_EQ(r, "shm");
-  const auto& st = pool.stats();
-  EXPECT_EQ(st.shm_spawns, 2u);
-  EXPECT_EQ(st.ring_fallbacks, 0u);
-  EXPECT_EQ(st.ring_messages, 4u);
-  EXPECT_GT(st.ring_payload_bytes, 0u);
 }
 
-TEST_F(TransportTest, RingCreateFailureFallsBackToJsonPerWorker) {
-  // Both workers' ring setups fail: the pool must degrade those slots to
-  // the v2 inline transport transparently — jobs still complete, workers
-  // observe Json, and the stats record the fallback.
-  sandbox::ring_testing::fail_next_creates(2);
-  PoolConfig cfg;
-  cfg.workers = 2;
-  PoolClient client;
-  client.before_dispatch = [](Job& job) { job.payload = "q"; };
-  client.run_job = [](const std::string&) {
-    return to_string(WorkerPool::current_transport());
-  };
-  std::vector<std::string> results(4);
-  client.on_result = [&](const Job& job, const std::string& result) {
-    results[job.id] = result;
-    return Disposition::Done;
-  };
-  client.on_failure = [&](const Job&, const JobFailure& f) {
-    ADD_FAILURE() << "unexpected failure: " << f.describe();
-    return Disposition::Done;
-  };
-  std::size_t next = 0;
-  WorkerPool pool(cfg, client);
-  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= results.size()) return std::nullopt;
-    Job j;
-    j.id = next++;
-    return j;
-  });
-  EXPECT_EQ(out, PoolOutcome::Completed);
-  for (const std::string& r : results) EXPECT_EQ(r, "json");
-  const auto& st = pool.stats();
-  EXPECT_EQ(st.ring_fallbacks, 2u);
-  EXPECT_EQ(st.shm_spawns, 0u);
-  EXPECT_EQ(st.ring_messages, 0u);
-}
-
-TEST_F(TransportTest, ConfiguredJsonTransportBypassesRings) {
+TEST_F(TransportTest, MultiMiBResultArrivesByteIdenticalOverPipeFrames) {
+  // A result and a final payload far above the 64 KiB pipe buffer: the
+  // worker's frame write blocks until the supervisor's poll loop reads
+  // it, and the bytes must arrive intact (the frame CRC catches a tear).
   PoolConfig cfg;
   cfg.workers = 1;
-  cfg.transport = Transport::Json;
-  PoolClient client;
-  client.before_dispatch = [](Job& job) { job.payload = "q"; };
-  client.run_job = [](const std::string&) {
-    return to_string(WorkerPool::current_transport());
-  };
-  std::string result;
-  client.on_result = [&](const Job&, const std::string& r) {
-    result = r;
-    return Disposition::Done;
-  };
-  client.on_failure = [&](const Job&, const JobFailure& f) {
-    ADD_FAILURE() << "unexpected failure: " << f.describe();
-    return Disposition::Done;
-  };
-  std::size_t next = 0;
-  WorkerPool pool(cfg, client);
-  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= 1) return std::nullopt;
-    Job j;
-    j.id = next++;
-    return j;
-  });
-  EXPECT_EQ(out, PoolOutcome::Completed);
-  EXPECT_EQ(result, "json");
-  EXPECT_EQ(pool.stats().shm_spawns, 0u);
-  EXPECT_EQ(pool.stats().ring_messages, 0u);
-}
-
-TEST_F(TransportTest, LargePayloadStreamsThroughASmallRing) {
-  // A result far bigger than the ring forces chunked streaming with
-  // doorbell-driven mid-message drains on the supervisor side; the bytes
-  // must arrive intact (seq stamps catch any tear).
-  PoolConfig cfg;
-  cfg.workers = 1;
-  cfg.ring_bytes = 4096;
-  const std::string big = pattern_bytes(777, 300000);
+  const std::string big = pattern_bytes(777, 5u << 20);
+  const std::string fin = pattern_bytes(778, 3u << 20);
   PoolClient client;
   client.before_dispatch = [](Job& job) { job.payload = "q"; };
   client.run_job = [&](const std::string&) { return big; };
+  client.final_payload = [&] { return fin; };
   std::string got;
   client.on_result = [&](const Job&, const std::string& r) {
     got = r;
     return Disposition::Done;
   };
+  std::string got_final;
+  client.on_final = [&](const std::string& f) { got_final = f; };
   client.on_failure = [&](const Job&, const JobFailure& f) {
     ADD_FAILURE() << "unexpected failure: " << f.describe();
     return Disposition::Done;
   };
-  std::size_t next = 0;
   WorkerPool pool(cfg, client);
-  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= 1) return std::nullopt;
-    Job j;
-    j.id = next++;
-    return j;
-  });
-  EXPECT_EQ(out, PoolOutcome::Completed);
-  EXPECT_EQ(got, big);
-  EXPECT_GE(pool.stats().ring_payload_bytes, big.size());
+  EXPECT_EQ(run_jobs(pool, 1), PoolOutcome::Completed);
+  EXPECT_TRUE(got == big) << "result of " << got.size() << " bytes differs";
+  EXPECT_TRUE(got_final == fin)
+      << "final of " << got_final.size() << " bytes differs";
+  EXPECT_EQ(pool.stats().corrupt_frames, 0u);
+}
+
+TEST_F(TransportTest, SlowSupervisorBackpressuresWorkersAndDropsNothing) {
+  // Every result overflows the pipe buffer and the supervisor dawdles in
+  // on_result, so workers block mid-frame behind it: they must wait,
+  // never drop or tear a record, and every job must land exactly once.
+  PoolConfig cfg;
+  cfg.workers = 2;
+  constexpr std::size_t kJobs = 16;
+  constexpr std::size_t kResultBytes = 200000;
+  PoolClient client;
+  client.before_dispatch = [](Job& job) {
+    job.payload = std::to_string(job.id);
+  };
+  client.run_job = [](const std::string& payload) {
+    return pattern_bytes(1000 + std::stoull(payload), kResultBytes);
+  };
+  std::vector<int> landed(kJobs, 0);
+  std::size_t intact = 0;
+  client.on_result = [&](const Job& job, const std::string& result) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ++landed[job.id];
+    if (result == pattern_bytes(1000 + job.id, kResultBytes)) ++intact;
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
+  WorkerPool pool(cfg, client);
+  EXPECT_EQ(run_jobs(pool, kJobs), PoolOutcome::Completed);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(landed[i], 1) << "job " << i;
+  }
+  EXPECT_EQ(intact, kJobs);
+  const auto& st = pool.stats();
+  EXPECT_EQ(st.jobs_completed, kJobs);
+  EXPECT_EQ(st.jobs_failed, 0u);
+  EXPECT_EQ(st.corrupt_frames, 0u);
+  EXPECT_EQ(st.recycles, 0u);
 }
 
 TEST_F(TransportTest, RingCorruptionIsProtocolCorruptAndRecycles) {
-  // The protocorrupt wire fault under the shm transport: the worker
-  // mangles its next chunk's seq stamp; the supervisor must latch the
-  // ring, fail the job as ProtocolCorrupt, recycle the worker, and run
-  // the retry cleanly — the same observable contract as a v2 CRC flip.
-  for (const Transport transport : {Transport::Shm, Transport::Json}) {
-    PoolConfig cfg;
-    cfg.workers = 1;
-    cfg.transport = transport;
-    std::vector<int> attempts(2, 0);
-    PoolClient client;
-    client.before_dispatch = [&](Job& job) {
-      job.payload = (job.id == 0 && attempts[job.id] == 0) ? "corrupt" : "ok";
-      ++attempts[job.id];
-    };
-    client.run_job = [](const std::string& payload) -> std::string {
-      if (payload == "corrupt") WorkerPool::corrupt_next_frame();
-      return "done";
-    };
-    std::atomic<int> completed{0};
-    std::atomic<int> corrupt_failures{0};
-    client.on_result = [&](const Job&, const std::string& result) {
-      EXPECT_EQ(result, "done");
-      ++completed;
-      return Disposition::Done;
-    };
-    client.on_failure = [&](const Job& job, const JobFailure& f) {
-      EXPECT_EQ(job.id, 0u);
-      EXPECT_EQ(f.reason, FailReason::ProtocolCorrupt);
-      ++corrupt_failures;
-      return Disposition::Retry;
-    };
-    std::size_t next = 0;
-    WorkerPool pool(cfg, client);
-    const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-      if (next >= attempts.size()) return std::nullopt;
-      Job j;
-      j.id = next++;
-      return j;
-    });
-    EXPECT_EQ(out, PoolOutcome::Completed)
-        << "transport " << to_string(transport);
-    EXPECT_EQ(completed.load(), 2) << "transport " << to_string(transport);
-    EXPECT_EQ(corrupt_failures.load(), 1)
-        << "transport " << to_string(transport);
-    EXPECT_GE(pool.stats().recycles, 1u);
-  }
+  // The protocorrupt wire fault: the worker flips its next result
+  // frame's CRC; the supervisor must latch the stream, fail the job as
+  // ProtocolCorrupt, recycle the worker, and run the retry cleanly.
+  PoolConfig cfg;
+  cfg.workers = 1;
+  std::vector<int> attempts(2, 0);
+  PoolClient client;
+  client.before_dispatch = [&](Job& job) {
+    job.payload = (job.id == 0 && attempts[job.id] == 0) ? "corrupt" : "ok";
+    ++attempts[job.id];
+  };
+  client.run_job = [](const std::string& payload) -> std::string {
+    if (payload == "corrupt") WorkerPool::corrupt_next_frame();
+    return "done";
+  };
+  std::atomic<int> completed{0};
+  std::atomic<int> corrupt_failures{0};
+  client.on_result = [&](const Job&, const std::string& result) {
+    EXPECT_EQ(result, "done");
+    ++completed;
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job& job, const JobFailure& f) {
+    EXPECT_EQ(job.id, 0u);
+    EXPECT_EQ(f.reason, FailReason::ProtocolCorrupt);
+    ++corrupt_failures;
+    return Disposition::Retry;
+  };
+  WorkerPool pool(cfg, client);
+  EXPECT_EQ(run_jobs(pool, attempts.size()), PoolOutcome::Completed);
+  EXPECT_EQ(completed.load(), 2);
+  EXPECT_EQ(corrupt_failures.load(), 1);
+  EXPECT_GE(pool.stats().recycles, 1u);
 }
 
 TEST_F(TransportTest, AffinityDispatchPartitionsKeysAcrossWorkers) {
