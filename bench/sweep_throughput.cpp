@@ -18,10 +18,12 @@
 //               after every cell, so each cell pays a fresh fork.
 //   pooled    — --workers 4: four persistent pool workers sending their
 //               wire records in CRC pipe frames, which amortizes the fork
-//               and warm-up over the whole sweep, with kernel-affinity
-//               dispatch keeping repeat cells on the worker whose pool
-//               already holds their size classes. The pooled-vs-forkcell
-//               speedup is the persistent pool's reason to exist.
+//               and warm-up over the whole sweep. One measure slot makes
+//               dispatch sticky, so every cell runs on the one warm
+//               worker that ran the previous cell, its bounded arena
+//               holding one cell's working set; the other three are
+//               crash-containment spares. The pooled-vs-forkcell speedup
+//               is the persistent pool's reason to exist.
 //
 // The benchmark reports wall time and cells/second for every mode, checks
 // each sandboxed cell's checksum against the in-process one under the

@@ -1,5 +1,7 @@
 #include "mem/pool.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -11,6 +13,10 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 64;  // keeps the user pointer 64-aligned
 static_assert(kHeaderBytes % Pool::kAlignment == 0);
+
+/// Chunks of this class and up are mmap'ed and munmap'ed directly: freed
+/// through operator delete, their pages would stay in glibc's heap.
+constexpr std::size_t kDirectMapBytes = std::size_t{1} << 20;
 
 /// Sits in front of every chunk, so deallocate finds the size class.
 struct RawHeader {
@@ -51,14 +57,38 @@ std::size_t Pool::class_index(std::size_t class_bytes) {
 }
 
 void* Pool::os_allocate(std::size_t class_bytes) {
-  void* raw = ::operator new(kHeaderBytes + class_bytes,
-                             std::align_val_t{kAlignment});
+  void* raw = nullptr;
+  if (class_bytes >= kDirectMapBytes) {
+    raw = mmap(nullptr, kHeaderBytes + class_bytes, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+  } else {
+    raw = ::operator new(kHeaderBytes + class_bytes,
+                         std::align_val_t{kAlignment});
+  }
   static_cast<RawHeader*>(raw)->chunk_bytes = class_bytes;
   return static_cast<char*>(raw) + kHeaderBytes;
 }
 
 void Pool::os_free(void* raw) noexcept {
-  ::operator delete(raw, std::align_val_t{kAlignment});
+  const std::size_t class_bytes = static_cast<RawHeader*>(raw)->chunk_bytes;
+  if (class_bytes >= kDirectMapBytes) {
+    munmap(raw, kHeaderBytes + class_bytes);
+  } else {
+    ::operator delete(raw, std::align_val_t{kAlignment});
+  }
+}
+
+void Pool::trim_locked(std::size_t budget) {
+  for (std::size_t idx = free_lists_.size();
+       idx-- > 0 && stats_.bytes_reserved() > budget;) {
+    auto& list = free_lists_[idx];
+    while (!list.empty() && stats_.bytes_reserved() > budget) {
+      os_free(list.back());
+      list.pop_back();
+      stats_.bytes_free -= kMinClassBytes << idx;
+    }
+  }
 }
 
 void* Pool::allocate(std::size_t bytes) {
@@ -82,7 +112,12 @@ void* Pool::allocate(std::size_t bytes) {
     return static_cast<char*>(raw) + kHeaderBytes;
   }
 
+  // Bounded arena: make room for the new chunk within the in-use peak.
+  const std::size_t peak =
+      std::max(stats_.peak_in_use_bytes, stats_.bytes_in_use + class_bytes);
+  trim_locked(peak - class_bytes);
   void* user = os_allocate(class_bytes);
+  stats_.peak_in_use_bytes = peak;
   ++stats_.os_allocs;
   stats_.bytes_in_use += class_bytes;
   stats_.high_water_bytes =
@@ -106,11 +141,7 @@ void Pool::deallocate(void* p, std::size_t /*bytes*/) noexcept {
 
 void Pool::release() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& list : free_lists_) {
-    for (void* raw : list) os_free(raw);
-    list.clear();
-  }
-  stats_.bytes_free = 0;
+  trim_locked(stats_.bytes_in_use);
 }
 
 PoolStats Pool::stats() const {

@@ -3,15 +3,25 @@
 // Every (kernel, variant, tuning) cell of a sweep allocates its data in
 // setUp and releases it in tearDown, so without pooling the same few
 // megabyte-scale buffers are returned to the OS and re-faulted hundreds of
-// times per run. The pool keeps freed chunks on per-size-class free lists
-// ("reset, don't free"): a released chunk's pages stay mapped — and keep
-// their NUMA first-touch placement — so the next cell's allocation of the
-// same class is a pop, not an mmap. Once every kernel working set lives
-// here, setUp after the first cell of a size class faults no new pages.
+// times per run. The pool keeps freed chunks on per-size-class free lists:
+// a released chunk's pages stay mapped — and keep their NUMA first-touch
+// placement — so the next cell's allocation of the same class is a pop,
+// not an mmap. Once every kernel working set lives here, setUp after the
+// first cell of a size class faults no new pages.
+//
+// The arena is bounded: it never reserves more than the in-use peak, the
+// most memory live at once (for the suite, the largest cell's working
+// set). Before a request takes a new chunk from the OS, free chunks are
+// returned to the OS, largest class first, until the reserve plus the new
+// chunk fits that peak. A long-lived process that runs every kernel of a
+// sweep therefore holds one cell's worth of memory, not the union of every
+// kernel's size classes.
 //
 //   * chunks are 64-byte aligned (cache line / AVX-512 friendly);
 //   * size classes are powers of two from 64 bytes up, so a kernel whose
 //     problem size wobbles a little between cells still reuses chunks;
+//   * chunks of 1 MiB and more are mapped and unmapped directly, so a
+//     returned chunk gives its pages back (glibc's heap would keep them);
 //   * stats track bytes in use, reserved bytes, high-water marks, and
 //     free-list reuse hits (surfaced per cell as `pool_hit` and per run in
 //     profile metadata);
@@ -31,10 +41,13 @@ namespace rperf::mem {
 struct PoolStats {
   std::size_t bytes_in_use = 0;     ///< live chunk bytes (rounded to class)
   std::size_t bytes_free = 0;       ///< bytes parked on free lists
-  std::size_t high_water_bytes = 0; ///< max bytes_in_use observed
+  std::size_t high_water_bytes = 0; ///< max bytes_in_use since reset_stats
+  /// max bytes_in_use over the pool's life (reset_stats keeps it): the
+  /// arena's reserve never exceeds it
+  std::size_t peak_in_use_bytes = 0;
   std::uint64_t alloc_calls = 0;
   std::uint64_t reuse_hits = 0;     ///< allocations served from a free list
-  std::uint64_t os_allocs = 0;      ///< allocations that hit operator new
+  std::uint64_t os_allocs = 0;      ///< allocations that took a new chunk
 
   [[nodiscard]] std::size_t bytes_reserved() const {
     return bytes_in_use + bytes_free;
@@ -63,7 +76,9 @@ class Pool {
 
   /// 64-byte-aligned chunk of at least `bytes` bytes. Fires the fault
   /// injector's alloc hook (so alloc@KERNEL specs throw std::bad_alloc from
-  /// here), then serves from the matching free list when possible.
+  /// here), then serves from the matching free list when possible. A new
+  /// chunk first returns free chunks to the OS, largest class first, until
+  /// the reserve plus the new chunk fits the in-use peak.
   void* allocate(std::size_t bytes);
 
   /// Return a chunk to its free list.
@@ -81,6 +96,9 @@ class Pool {
   [[nodiscard]] static std::size_t class_index(std::size_t class_bytes);
   [[nodiscard]] static void* os_allocate(std::size_t class_bytes);
   static void os_free(void* raw) noexcept;
+  /// Free cached chunks, largest class first, until the reserve is at most
+  /// `budget` bytes (or no free chunk is left). Caller holds mutex_.
+  void trim_locked(std::size_t budget);
 
   mutable std::mutex mutex_;
   std::vector<std::vector<void*>> free_lists_;  ///< raw (header) pointers

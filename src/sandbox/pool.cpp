@@ -106,11 +106,6 @@ bool write_all(int fd, const char* p, std::size_t n) {
 std::mutex g_frame_write_mutex;
 std::atomic<bool> g_hb_suppress{false};
 std::atomic<bool> g_corrupt_next{false};
-// The worker's result pipe and the job whose measure slot it still holds
-// (main thread only; mark_measured releases the slot at most once).
-int g_result_fd = -1;
-std::uint64_t g_job_id = 0;
-bool g_holds_slot = false;
 
 bool write_frame(int fd, const std::string& payload, bool corrupt = false) {
   const std::string frame = frame_encode(payload, corrupt);
@@ -190,7 +185,6 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   install_worker_crash_handlers();
   g_hb_suppress.store(false);
   g_corrupt_next.store(false);
-  g_result_fd = res_wr;
 
   if (client.on_worker_start) client.on_worker_start();
 
@@ -258,10 +252,7 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
         break;
       }
       if (rec.type == "job") {
-        g_job_id = rec.a;
-        g_holds_slot = true;
         const std::string result = client.run_job(rec.body);
-        g_holds_slot = false;  // the result frame releases an unmarked slot
         const bool corrupt = g_corrupt_next.exchange(false);
         char header[32];
         std::snprintf(header, sizeof(header), "result %llu",
@@ -345,15 +336,6 @@ std::string JobFailure::describe() const {
   return "?";
 }
 
-void WorkerPool::mark_measured() {
-  if (g_result_fd < 0 || !g_holds_slot) return;
-  g_holds_slot = false;
-  char mark[32];
-  std::snprintf(mark, sizeof(mark), "mark %llu",
-                static_cast<unsigned long long>(g_job_id));
-  write_frame(g_result_fd, mark);  // a dead parent surfaces at the result
-}
-
 void WorkerPool::suppress_heartbeats() { g_hb_suppress.store(true); }
 
 void WorkerPool::corrupt_next_frame() { g_corrupt_next.store(true); }
@@ -382,8 +364,7 @@ PoolOutcome WorkerPool::run(
     WorkerState state = WorkerState::Dead;
     FrameReader reader;
     std::string stderr_tail;
-    std::optional<Job> job;
-    bool measuring = false;   // job holds a measure slot (until its mark)
+    std::optional<Job> job;   // in flight: holds a measure slot
     double last_beat = 0.0;   // any frame counts as liveness
     double busy_since = 0.0;
     double drain_at = 0.0;    // when Draining started (drain stall guard)
@@ -394,10 +375,6 @@ PoolOutcome WorkerPool::run(
     bool sent_kill = false;
     int respawns = 0;
     double next_spawn_at = 0.0;
-    std::uint64_t last_affinity = 0;     // survives recycling (warm dataset
-                                         // keys die with the worker, but a
-                                         // respawn refills fastest with the
-                                         // same key's remaining jobs)
   };
 
   stats_ = PoolStats{};
@@ -408,7 +385,7 @@ PoolOutcome WorkerPool::run(
   bool interrupted = false;
   double interrupt_term_at = 0.0;
   int consecutive_fork_failures = 0;
-  std::size_t spread_cursor = 0;  // where dispatch pass 2 starts its scan
+  pid_t warm_pid = -1;  // the worker that ran the previous job
 
   // Scoped signal plumbing: SIGCHLD self-pipe wakeup, SIGPIPE ignored (a
   // worker dying between poll() and our write must surface as EPIPE, not
@@ -498,13 +475,11 @@ PoolOutcome WorkerPool::run(
     close(err[1]);
     set_nonblocking(res[0]);
     set_nonblocking(err[0]);
-    const std::uint64_t kept_affinity = s.last_affinity;
     s = Slot{};  // fresh incarnation, but keep the slot's respawn history
     s.pid = pid;
     s.ctl_wr = ctl[1];
     s.res_rd = res[0];
     s.err_rd = err[0];
-    s.last_affinity = kept_affinity;
     s.state = WorkerState::Spawning;
     s.last_beat = now_sec();
     ++stats_.spawns;
@@ -550,7 +525,6 @@ PoolOutcome WorkerPool::run(
     f.stderr_tail = s.stderr_tail;
     Job job = std::move(*s.job);
     s.job.reset();
-    s.measuring = false;
     ++stats_.jobs_failed;
     Disposition d = Disposition::Done;
     if (client_.on_failure) d = client_.on_failure(job, f);
@@ -604,13 +578,6 @@ PoolOutcome WorkerPool::run(
       s.state = WorkerState::Idle;
     } else if (rec.type == "hb") {
       ++stats_.heartbeats;
-    } else if (rec.type == "mark") {
-      if (s.state != WorkerState::Busy || !s.job || s.job->id != rec.a) {
-        ++stats_.corrupt_frames;
-        condemn(s, FailReason::ProtocolCorrupt);
-        return;
-      }
-      s.measuring = false;
     } else if (rec.type == "result") {
       if (s.state != WorkerState::Busy || !s.job || s.job->id != rec.a) {
         ++stats_.corrupt_frames;
@@ -619,7 +586,6 @@ PoolOutcome WorkerPool::run(
       }
       Job job = std::move(*s.job);
       s.job.reset();
-      s.measuring = false;
       s.state = WorkerState::Idle;
       ++stats_.jobs_completed;
       note_progress(s);
@@ -763,7 +729,6 @@ PoolOutcome WorkerPool::run(
         if (s.pid > 0) kill(s.pid, SIGTERM);
         s.ignore_frames = true;
         s.job.reset();
-        s.measuring = false;
         if (s.state != WorkerState::Dead) {
           s.state = WorkerState::Draining;
           s.drain_at = interrupt_term_at;
@@ -850,23 +815,19 @@ PoolOutcome WorkerPool::run(
       if (outcome == PoolOutcome::SpawnFailed) break;
     }
 
-    // Dispatch queued jobs to idle workers, affinity first. Pass 1 gives
-    // each idle worker the first queued job matching the key it last ran
-    // (warm datasets, warm arenas). Pass 2 hands the remaining idle
-    // workers jobs whose keys no live worker has claimed — a claimed
-    // key's jobs wait for their warm worker rather than being spread
-    // across the pool, so per-key setup happens once per pool, not once
-    // per worker. Pass 2 starts its scan one slot past where it last
-    // dispatched, so new keys spread round-robin across the pool instead
-    // of piling every key's warm state into the lowest idle slot.
-    // Progress is guaranteed: a claimed key's owner is Idle (pass 1 feeds
-    // it once a measure slot is free), Busy/Spawning (it will pull the
-    // key's jobs when it frees up), or dies (respawn keeps the claim; a
-    // slot past its respawn budget goes Dead and Dead slots claim
-    // nothing).
-    auto dispatch_to = [&](Slot& s, std::deque<Job>::iterator it) -> bool {
-      Job job = std::move(*it);
-      queue.erase(it);
+    // Dispatch queued jobs to idle workers, sticky: the worker that ran
+    // the previous job (the warm worker: its arena, page tables, caches
+    // and OpenMP team are warm from that job) is offered the next one
+    // first. With one measure slot a job is dispatched only once the
+    // previous one is resolved, so the warm worker is idle then unless it
+    // is gone (retired, dead, or replaced by a new process); only then
+    // does another idle worker take the job and become the warm one.
+    // Consecutive jobs thus never switch between cold processes, and the
+    // other workers are crash-containment spares. With more slots, the
+    // remaining idle workers take the jobs the warm worker cannot.
+    auto dispatch_to = [&](Slot& s) -> bool {
+      Job job = std::move(queue.front());
+      queue.pop_front();
       if (client_.before_dispatch) client_.before_dispatch(job);
       char header[32];
       std::snprintf(header, sizeof(header), "job %llu %d",
@@ -882,9 +843,9 @@ PoolOutcome WorkerPool::run(
         s.drain_at = now_sec();
         return false;
       }
-      s.last_affinity = job.affinity;
+      if (s.pid == warm_pid) ++stats_.affinity_hits;
+      warm_pid = s.pid;
       s.job = std::move(job);
-      s.measuring = true;
       s.state = WorkerState::Busy;
       s.busy_since = now_sec();
       ++stats_.jobs_dispatched;
@@ -892,59 +853,29 @@ PoolOutcome WorkerPool::run(
     };
     if (!aborting) {
       // Measure slots (PoolConfig::max_inflight, 0 = uncapped): a job is
-      // dispatched only while fewer than `cap` jobs are measuring, so
-      // measured work never preempts measured work. Workers past their
-      // mark (encoding, shipping a result) do not hold a slot.
+      // dispatched only while fewer than `cap` jobs are in flight, so
+      // measured work never preempts measured work.
       const std::size_t cap = cfg_.max_inflight == 0
                                   ? slots.size()
                                   : std::min(cfg_.max_inflight, slots.size());
       std::size_t measuring = 0;
       for (const Slot& s : slots) {
-        if (s.measuring) ++measuring;
+        if (s.job) ++measuring;
       }
       auto took_slot = [&] {
         ++measuring;
         stats_.peak_measuring = std::max(stats_.peak_measuring, measuring);
       };
-      for (Slot& s : slots) {
-        if (queue.empty() || measuring >= cap) break;
-        if (s.state != WorkerState::Idle || s.last_affinity == 0) continue;
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-          if (it->affinity == s.last_affinity) {
-            if (dispatch_to(s, it)) {
-              ++stats_.affinity_hits;
-              took_slot();
-            }
-            break;
-          }
+      auto dispatch_if_idle = [&](Slot& s) {
+        if (!queue.empty() && measuring < cap &&
+            s.state == WorkerState::Idle && dispatch_to(s)) {
+          took_slot();
         }
-      }
-      auto claimed_elsewhere = [&](std::uint64_t key, const Slot& self) {
-        if (key == 0) return false;
-        for (const Slot& o : slots) {
-          if (&o == &self || o.last_affinity != key) continue;
-          if (o.state == WorkerState::Idle || o.state == WorkerState::Busy ||
-              o.state == WorkerState::Spawning) {
-            return true;
-          }
-        }
-        return false;
       };
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        if (queue.empty() || measuring >= cap) break;
-        const std::size_t i = (spread_cursor + k) % slots.size();
-        Slot& s = slots[i];
-        if (s.state != WorkerState::Idle) continue;
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-          if (!claimed_elsewhere(it->affinity, s)) {
-            if (dispatch_to(s, it)) {
-              took_slot();
-              spread_cursor = i + 1;
-            }
-            break;
-          }
-        }
+      for (Slot& s : slots) {
+        if (s.pid == warm_pid) dispatch_if_idle(s);
       }
+      for (Slot& s : slots) dispatch_if_idle(s);
     }
 
     // If the source dried up, idle workers have nothing left to do.
@@ -988,6 +919,10 @@ PoolOutcome WorkerPool::run(
     reap();
 
     // Central liveness + deadline policy.
+    const auto silent = [&](const Slot& s) {
+      return (now_sec() - s.last_beat) * 1000.0 >
+             static_cast<double>(cfg_.heartbeat_timeout_ms);
+    };
     const double now = now_sec();
     for (Slot& s : slots) {
       if (s.state == WorkerState::Dead) continue;
@@ -1007,12 +942,17 @@ PoolOutcome WorkerPool::run(
         }
         continue;
       }
-      if (cfg_.heartbeat_timeout_ms > 0 &&
-          (now - s.last_beat) * 1000.0 >
-              static_cast<double>(cfg_.heartbeat_timeout_ms)) {
-        ++stats_.heartbeat_timeouts;
-        condemn(s, FailReason::HeartbeatTimeout);
-        continue;
+      if (cfg_.heartbeat_timeout_ms > 0 && silent(s)) {
+        // last_beat is when the supervisor last *handled* a frame, so a
+        // long client callback makes every worker look silent. Read what
+        // is waiting in the pipe before condemning.
+        read_slot(s);
+        if (s.state == WorkerState::Draining) continue;  // condemned/retired
+        if (silent(s)) {
+          ++stats_.heartbeat_timeouts;
+          condemn(s, FailReason::HeartbeatTimeout);
+          continue;
+        }
       }
       if (s.state == WorkerState::Busy && cfg_.job_deadline_sec > 0.0) {
         if (!s.sent_term && now - s.busy_since > cfg_.job_deadline_sec) {

@@ -31,10 +31,11 @@
 //     budget and waits for no backoff. One worker retired after every
 //     cell (or after each kernel's last cell) is the disposable
 //     per-cell/per-kernel isolation of `--isolate cell|kernel`;
-//   * at most `max_inflight` jobs *measure* at once: a job holds a measure
-//     slot from dispatch until its worker calls mark_measured() (or, if it
-//     never does, until its result arrives), so timed work never shares
-//     the machine while result encoding and transfer overlap the next job;
+//   * at most `max_inflight` jobs are in flight at once (measure slots),
+//     so with 1 timed work never shares the machine with other jobs;
+//   * dispatch is sticky: the worker that ran the previous job is offered
+//     the next one first, so with one measure slot every job runs in the
+//     same warm process until it dies or retires;
 //   * the job queue is pull-based: the pool asks the client's `next_job`
 //     source for work only when the bounded pending queue has room, so
 //     producer memory is bounded by construction (backpressure);
@@ -102,12 +103,6 @@ struct JobFailure {
 struct Job {
   std::uint64_t id = 0;
   std::string payload;
-  /// Dispatch-affinity key (0 = none). Jobs sharing a nonzero key prefer
-  /// the worker that last ran that key, and a key "claimed" by a live
-  /// worker is not spread across others while that worker can take it —
-  /// so per-key warm state (allocator arenas, first-touched pages) is built
-  /// once per pool instead of once per worker.
-  std::uint64_t affinity = 0;
   /// Retire the worker once this job's result is in: it drains and exits
   /// cleanly, and the next job runs in a fresh process. Not a recycle: no
   /// respawn budget is spent and no backoff applies.
@@ -138,17 +133,15 @@ struct PoolConfig {
   /// worker's whole life, so cpu_seconds bounds a job only when its worker
   /// retires after it (Job::retire); leave it 0 for long-lived workers.
   Limits limits;
-  /// Measure slots: cap on jobs *measuring* at once across the pool;
-  /// 0 = workers (uncapped). A job measures from dispatch until its worker
-  /// calls WorkerPool::mark_measured(), or until its result or failure if
-  /// it never does, so a client that does not mark gets whole jobs capped.
-  /// A job is dispatched only when a slot is free, never parked inside a
-  /// worker, so deadlines and heartbeats time only its own work. With 1,
-  /// timed work runs alone on the machine while other workers' post-mark
-  /// tails (result encode, transfer, supervisor decode) overlap it; a hung
-  /// job holds its slot until its deadline or heartbeat timeout. Workers
-  /// beyond the cap stay resident as warm per-key partitions (see
-  /// Job::affinity) and crash-containment spares.
+  /// Measure slots: cap on jobs in flight at once across the pool;
+  /// 0 = workers (uncapped). A job holds its slot from dispatch until its
+  /// result or failure. A job is dispatched only when a slot is free,
+  /// never parked inside a worker, so deadlines and heartbeats time only
+  /// its own work. With 1, timed work runs alone on the machine, and the
+  /// sticky dispatch keeps every job on the one warm worker that ran the
+  /// previous job; the other workers are crash-containment spares that
+  /// take over if it dies. A hung job holds its slot until its deadline or
+  /// heartbeat timeout.
   std::size_t max_inflight = 0;
 };
 
@@ -164,7 +157,9 @@ struct PoolStats {
   std::size_t jobs_completed = 0;    ///< result frames accepted
   std::size_t jobs_failed = 0;       ///< failures handed to the client
   std::size_t peak_queue_depth = 0;  ///< high water of the pending queue
-  std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
+  /// Dispatches to the worker that ran the previous job (the name predates
+  /// sticky dispatch; perfbench/driver.cpp reads it).
+  std::size_t affinity_hits = 0;
   std::size_t peak_measuring = 0;    ///< high water of jobs holding a slot
   // Always 0 (every payload rides a pipe frame); kept only because
   // perfbench/driver.cpp reads them. Retires with the next benchmark change.
@@ -224,11 +219,6 @@ class WorkerPool {
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
 
   // ----- worker-side controls (no-ops in the parent) ------------------
-  /// Release the calling worker's measure slot: the rest of the current
-  /// job (encoding its result, say) may overlap the next job's measured
-  /// work. Sends one payload-free control frame; repeated calls within a
-  /// job are no-ops.
-  static void mark_measured();
   /// Stop the calling worker's heartbeat thread from beating. Models a
   /// live-but-silent worker; the supervisor must notice via timeout.
   static void suppress_heartbeats();

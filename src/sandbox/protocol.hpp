@@ -13,8 +13,8 @@
 // detected at the frame boundary; the supervisor treats the worker as
 // compromised, kills it, and retries the in-flight cell on a fresh worker
 // instead of mis-parsing. Frame payloads are the pool's control and
-// liveness records ("hello", "job", "hb", "mark", "result", "drain",
-// "final", "bye"; see sandbox/pool.cpp).
+// liveness records ("hello", "job", "hb", "result", "drain", "final",
+// "bye"; see sandbox/pool.cpp).
 //
 // The client's own payloads (the executor's job descriptors, cell
 // results and trace chunks) are opaque bytes to the pool; the executor

@@ -1,6 +1,5 @@
 #include "suite/executor.hpp"
 
-#include <omp.h>
 #include <signal.h>
 
 #include <algorithm>
@@ -68,17 +67,6 @@ const char* status_marker(RunStatus s) {
     case RunStatus::Killed: return "KILLED";
   }
   return "?";
-}
-
-/// Stable dispatch-affinity key for a kernel name (FNV-1a, forced odd so
-/// 0 keeps meaning "no affinity").
-std::uint64_t affinity_key(const std::string& kernel) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : kernel) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h | 1ull;
 }
 
 /// Append one forensics record to crashes.jsonl, stamped with the sweep's
@@ -935,13 +923,6 @@ std::string Executor::worker_run_cell(const std::string& payload) {
           cell_span_name(r.kernel, r.variant, r.tuning_name));
       r.status = run_cell_once(cell, scratch, r);
     }
-    // setUp, the timed loop, the checksum and tearDown ran alone; what
-    // follows (profile, encode, transfer) may overlap the next cell. Stop
-    // this worker's OpenMP team first: libgomp's idle threads spin for a
-    // few ms after each parallel region, and spinning here would run
-    // through the next cell's measurement in another worker.
-    omp_pause_resource_all(omp_pause_soft);
-    sandbox::WorkerPool::mark_measured();
     sample_trace_counters();
     // The parent only commits passing cells' regions, so only those cross.
     if (r.status == RunStatus::Passed) profile = cali::to_profile(scratch);
@@ -1125,17 +1106,12 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // RLIMIT_CPU accrues over a worker's whole life, so it bounds a cell (or
   // a kernel) only when the worker retires after it.
   if (disposable) cfg.limits.cpu_seconds = params_.sandbox_cpu_seconds;
-  // Affinity dispatch scans the pending queue for unclaimed keys, so give
-  // it a window wider than the default 2x workers: enough to see past one
-  // kernel's contiguous (variant, tuning) cells to the next kernel.
-  cfg.queue_capacity = static_cast<std::size_t>(cfg.workers) * 8;
-  // One measure slot: each cell's setUp, timed loop, checksum and
-  // tearDown run alone on the machine (OpenMP cells start all-core teams,
-  // Stream cells saturate DRAM), while the previous cell's profile,
-  // encode, transfer and store append overlap them. The other workers
-  // hold warm pool chunks for their kernels and serve as crash-containment
-  // spares. Trade-off: a hung cell stalls the sweep until
-  // --max-cell-seconds (or the heartbeat timeout) frees the slot.
+  // One measure slot: each cell runs alone on the machine (OpenMP cells
+  // start all-core teams, Stream cells saturate DRAM), and always on the
+  // one warm worker that ran the previous cell, whose bounded arena and
+  // OpenMP team carry over from cell to cell. The other workers serve as
+  // crash-containment spares. Trade-off: a hung cell stalls the sweep
+  // until --max-cell-seconds (or the heartbeat timeout) frees the slot.
   cfg.max_inflight = 1;
 
   // Seed the wire dictionary before the pool forks: every worker inherits
@@ -1165,9 +1141,6 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   const auto source = [&]() -> std::optional<sandbox::Job> {
     if (stopped_ || next >= jobs.size()) return std::nullopt;
     sandbox::Job job;
-    // Cells of one kernel share a dispatch-affinity key, steering them to
-    // the worker whose pool already holds that kernel's size classes.
-    job.affinity = affinity_key(jobs[next].r.kernel);
     job.retire = retires(next);
     job.id = next++;
     return job;  // payload is filled by before_dispatch

@@ -1,8 +1,11 @@
 // Tests for the rperf::mem subsystem: size-class pool, deterministic fills,
 // and the blocked checksum's thread invariance.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -108,6 +111,78 @@ TEST(MemPool, ReleaseTrimsFreeLists) {
   pool.release();
   EXPECT_EQ(pool.stats().bytes_free, 0u);
   EXPECT_EQ(pool.stats().bytes_in_use, 0u);
+}
+
+// Mixed size classes, allocated and freed in a shuffled order: the arena
+// must never reserve more than the most memory ever live at once, and the
+// peak must survive reset_stats (which rewinds high_water_bytes).
+TEST(MemPool, ReserveNeverExceedsInUsePeak) {
+  mem::Pool pool;
+  std::vector<std::pair<void*, std::size_t>> live;
+  std::uint32_t lcg = 12345u;
+  auto next = [&lcg] {
+    lcg = lcg * 1664525u + 1013904223u;
+    return lcg >> 8;
+  };
+  std::size_t max_in_use = 0;
+  for (int op = 0; op < 2000; ++op) {
+    if (!live.empty() && (next() % 3 == 0 || live.size() > 24)) {
+      const std::size_t i = next() % live.size();
+      pool.deallocate(live[i].first, live[i].second);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      const std::size_t bytes = std::size_t{64} << (next() % 16);  // to 2 MiB
+      live.emplace_back(pool.allocate(bytes), bytes);
+    }
+    const mem::PoolStats s = pool.stats();
+    max_in_use = std::max(max_in_use, s.bytes_in_use);
+    ASSERT_LE(s.bytes_reserved(), s.peak_in_use_bytes) << "op " << op;
+    if (op == 1000) pool.reset_stats();
+  }
+  EXPECT_EQ(pool.stats().peak_in_use_bytes, max_in_use);
+  EXPECT_GT(pool.stats().reuse_hits, 0u);  // bounded, but still a pool
+  for (const auto& [p, bytes] : live) pool.deallocate(p, bytes);
+}
+
+/// Resident set of this process in bytes, from /proc/self/statm.
+std::size_t current_rss_bytes() {
+  long pages = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%*s %ld", &pages) != 1) pages = 0;
+  std::fclose(f);
+  return static_cast<std::size_t>(pages) *
+         static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A chunk of 1 MiB or more is mapped directly, so returning it to the OS
+// returns its pages: once when the bound trims it to make room for a
+// larger class, and once through release().
+TEST(MemPool, ReleasedLargeChunkGivesItsPagesBack) {
+  constexpr std::size_t kSmall = std::size_t{16} << 20;
+  constexpr std::size_t kLarge = std::size_t{32} << 20;
+  mem::Pool pool;
+  auto touch = [](void* p, std::size_t bytes) {
+    std::memset(p, 1, bytes);
+  };
+
+  void* a = pool.allocate(kSmall);
+  touch(a, kSmall);
+  pool.deallocate(a, kSmall);  // parked on its free list, still resident
+  const std::size_t parked = current_rss_bytes();
+  // Peak becomes 32 MiB; 16 MiB free + 32 MiB new would exceed it, so the
+  // parked chunk goes back to the OS before the new one is mapped.
+  void* b = pool.allocate(kLarge);
+  EXPECT_EQ(pool.stats().bytes_free, 0u);
+  EXPECT_LE(current_rss_bytes() + kSmall * 3 / 4, parked)
+      << "the trimmed chunk's pages stayed resident";
+
+  touch(b, kLarge);
+  pool.deallocate(b, kLarge);
+  const std::size_t before = current_rss_bytes();
+  pool.release();
+  EXPECT_LE(current_rss_bytes() + kLarge * 3 / 4, before)
+      << "the released chunk's pages stayed resident";
 }
 
 TEST(MemPool, PoolAllocatorVectorsAreAligned) {

@@ -1,7 +1,7 @@
 // Tests for rperf::sandbox::WorkerPool and the executor's pooled execution
 // path (--workers): the v2 framed protocol, supervised crash recycling,
 // heartbeat-timeout detection, central deadlines, backpressure, the
-// measure slot and key spreading, crash-loop quarantine, fork-failure
+// measure slot and sticky dispatch, crash-loop quarantine, fork-failure
 // degradation, and bit-identical parity of pooled vs in-process results.
 //
 // OpenMP note: pooled workers are forked from the test process, so the
@@ -303,6 +303,51 @@ TEST_F(PoolTest, HeartbeatSilenceIsDetectedAndWorkerRecycled) {
   EXPECT_EQ(hb_failures.load(), 1);
   EXPECT_EQ(completed.load(), 1);  // the second job ran on the respawn
   EXPECT_GE(pool.stats().heartbeat_timeouts, 1u);
+  expect_no_children();
+}
+
+// Silence is judged by the frames a worker has sent, not by the ones the
+// supervisor found time to read. on_result stalls the supervisor for
+// 900 ms, past the 500 ms timeout, while both workers keep beating into
+// their pipes (one of them busy with a 200 ms job): neither may be
+// condemned, and both jobs complete.
+TEST_F(PoolTest, HeartbeatCheckReadsPendingBeatsBeforeCondemning) {
+  PoolConfig cfg;
+  cfg.workers = 2;
+  cfg.heartbeat_timeout_ms = 500;
+  PoolClient client;
+  client.before_dispatch = [](Job& job) {
+    job.payload = job.id == 1 ? "slow" : "fast";
+  };
+  client.run_job = [](const std::string& payload) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(payload == "slow" ? 200 : 20));
+    return std::string("done");
+  };
+  std::set<std::uint64_t> completed;
+  client.on_result = [&](const Job& job, const std::string&) {
+    if (job.id == 0) std::this_thread::sleep_for(std::chrono::milliseconds(900));
+    completed.insert(job.id);
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= 2) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  EXPECT_EQ(completed, (std::set<std::uint64_t>{0, 1}));
+  EXPECT_EQ(pool.stats().heartbeat_timeouts, 0u);
+  EXPECT_EQ(pool.stats().recycles, 0u);
   expect_no_children();
 }
 
@@ -665,49 +710,31 @@ std::size_t count_overlaps(const std::vector<Interval>& v) {
   return n;
 }
 
-// Each job measures for 30 ms, optionally calls mark_measured(), then
-// runs a 60 ms post-mark tail, and reports the three stamps. With one
-// measure slot the measured intervals (dispatch to mark) never overlap,
-// while a tail overlaps the next job's measurement. A client that never
-// marks holds the slot to its result, so whole jobs serialize. Uncapped,
-// whole jobs overlap.
+// Each job runs for 60 ms and reports its start and end stamps. With one
+// measure slot whole jobs serialize: no two ever overlap. Uncapped, a
+// 2-worker pool overlaps them.
 TEST_F(PoolTest, MaxInflightCapSerializesJobExecution) {
-  struct Case {
-    std::size_t cap;
-    bool marks;
-  };
-  for (const Case c : {Case{1, true}, Case{1, false}, Case{0, false}}) {
-    SCOPED_TRACE("cap " + std::to_string(c.cap) +
-                 (c.marks ? ", marks" : ", never marks"));
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
     PoolConfig cfg;
     cfg.workers = 2;
-    cfg.max_inflight = c.cap;
+    cfg.max_inflight = cap;
     PoolClient client;
     client.before_dispatch = [](Job& job) {
       job.payload = std::to_string(job.id);
     };
-    client.run_job = [marks = c.marks](const std::string&) {
+    client.run_job = [](const std::string&) {
       const double t0 = mono_now();
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      const double t_mark = mono_now();
-      if (marks) WorkerPool::mark_measured();
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%.6f %.6f %.6f", t0, t_mark,
-                    mono_now());
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.6f %.6f", t0, mono_now());
       return std::string(buf);
     };
-    std::vector<Interval> measured;
-    std::vector<Interval> tails;
     std::vector<Interval> whole;
     client.on_result = [&](const Job&, const std::string& result) {
       double t0 = 0.0;
-      double t_mark = 0.0;
       double t1 = 0.0;
-      EXPECT_EQ(std::sscanf(result.c_str(), "%lf %lf %lf", &t0, &t_mark, &t1),
-                3);
-      measured.emplace_back(t0, t_mark);
-      tails.emplace_back(t_mark, t1);
+      EXPECT_EQ(std::sscanf(result.c_str(), "%lf %lf", &t0, &t1), 2);
       whole.emplace_back(t0, t1);
       return Disposition::Done;
     };
@@ -726,55 +753,35 @@ TEST_F(PoolTest, MaxInflightCapSerializesJobExecution) {
     });
 
     EXPECT_EQ(out, PoolOutcome::Completed);
-    ASSERT_EQ(measured.size(), 4u);
-    if (c.cap == 1 && c.marks) {
-      EXPECT_EQ(count_overlaps(measured), 0u)
-          << "two jobs measured at once";
-      std::size_t tail_overlaps = 0;
-      for (const Interval& t : tails) {
-        for (const Interval& m : measured) {
-          if (overlap(t, m)) ++tail_overlaps;
-        }
-      }
-      EXPECT_GE(tail_overlaps, 1u)
-          << "no post-mark tail overlapped the next measurement";
-      EXPECT_GE(count_overlaps(whole), 1u);
-    } else if (c.cap == 1) {
-      EXPECT_EQ(count_overlaps(whole), 0u)
-          << "a client that never marks ran jobs concurrently";
+    ASSERT_EQ(whole.size(), 4u);
+    if (cap == 1) {
+      EXPECT_EQ(count_overlaps(whole), 0u) << "two jobs ran at once";
     } else {
       EXPECT_GE(count_overlaps(whole), 1u)
           << "uncapped 2-worker pool never overlapped";
     }
-    EXPECT_EQ(pool.stats().peak_measuring, c.cap == 1 ? 1u : 2u);
+    EXPECT_EQ(pool.stats().peak_measuring, cap == 1 ? 1u : 2u);
     expect_no_children();
   }
 }
 
-// One measure slot, 4 workers, 8 affinity keys x 3 jobs in key order (the
-// executor's kernel-contiguous cells). New keys must spread across the
-// pool rather than pile into the lowest idle slot, and a key's jobs must
-// all stay on the worker that claimed it: every job after a key's first
-// is an affinity hit, 8 x 2 = 16, as before spreading.
-TEST_F(PoolTest, MeasureSlotSpreadsNewKeysAcrossWorkers) {
-  constexpr std::size_t kKeys = 8;
-  constexpr std::size_t kJobsPerKey = 3;
+// One measure slot, 4 workers: dispatch is sticky, so every job runs on
+// the one warm worker that ran the previous job (its arena and caches are
+// warm from it) instead of switching between cold processes. Every
+// dispatch after the first is a hit.
+TEST_F(PoolTest, MeasureSlotKeepsEveryJobOnOneWarmWorker) {
+  constexpr std::size_t kJobs = 24;
   PoolConfig cfg;
   cfg.workers = 4;
   cfg.max_inflight = 1;
-  cfg.queue_capacity = kKeys * kJobsPerKey;  // the whole plan is visible
   PoolClient client;
   client.run_job = [](const std::string&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    WorkerPool::mark_measured();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return std::to_string(getpid());
   };
-  std::map<std::uint64_t, std::set<std::string>> workers_of_key;
-  std::map<std::string, std::set<std::uint64_t>> keys_of_worker;
-  client.on_result = [&](const Job& job, const std::string& pid) {
-    workers_of_key[job.affinity].insert(pid);
-    keys_of_worker[pid].insert(job.affinity);
+  std::set<std::string> pids;
+  client.on_result = [&](const Job&, const std::string& pid) {
+    pids.insert(pid);
     return Disposition::Done;
   };
   client.on_failure = [&](const Job&, const JobFailure& f) {
@@ -785,37 +792,90 @@ TEST_F(PoolTest, MeasureSlotSpreadsNewKeysAcrossWorkers) {
   std::size_t next = 0;
   WorkerPool pool(cfg, client);
   const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= kKeys * kJobsPerKey) return std::nullopt;
+    if (next >= kJobs) return std::nullopt;
     Job j;
-    j.id = next;
-    j.affinity = 1 + next / kJobsPerKey;
-    ++next;
+    j.id = next++;
     return j;
   });
 
   EXPECT_EQ(out, PoolOutcome::Completed);
   const auto& st = pool.stats();
   ASSERT_EQ(st.recycles, 0u);
-  EXPECT_EQ(st.jobs_completed, kKeys * kJobsPerKey);
-  EXPECT_EQ(keys_of_worker.size(), 4u) << "a worker never claimed a key";
-  ASSERT_EQ(workers_of_key.size(), kKeys);
-  for (const auto& [key, pids] : workers_of_key) {
-    EXPECT_EQ(pids.size(), 1u) << "key " << key << " left its claimant";
-  }
-  EXPECT_EQ(st.affinity_hits, kKeys * (kJobsPerKey - 1));
+  EXPECT_EQ(st.jobs_completed, kJobs);
+  EXPECT_EQ(pids.size(), 1u) << "jobs switched between worker processes";
+  EXPECT_EQ(st.affinity_hits, kJobs - 1);
   EXPECT_EQ(st.peak_measuring, 1u);
   expect_no_children();
 }
 
+// The warm worker is SIGKILLed mid-sweep (job 5's first attempt). Every
+// job still completes, the killed job on its retry, and the worker that
+// takes over becomes the new warm worker: every later job runs on it.
+TEST_F(PoolTest, MeasureSlotHandsTheWarmRoleToTheReplacement) {
+  constexpr std::size_t kJobs = 12;
+  constexpr std::size_t kKilled = 5;
+  PoolConfig cfg;
+  cfg.workers = 4;
+  cfg.max_inflight = 1;
+  std::vector<int> attempts(kJobs, 0);
+  PoolClient client;
+  client.before_dispatch = [&](Job& job) {
+    job.payload = job.id == kKilled && attempts[job.id] == 0 ? "die" : "ok";
+    ++attempts[job.id];
+  };
+  client.run_job = [](const std::string& payload) {
+    if (payload == "die") raise(SIGKILL);
+    return std::to_string(getpid());
+  };
+  std::vector<std::string> pid_of(kJobs);
+  client.on_result = [&](const Job& job, const std::string& pid) {
+    pid_of[job.id] = pid;
+    return Disposition::Done;
+  };
+  std::size_t failures = 0;
+  client.on_failure = [&](const Job& job, const JobFailure& f) {
+    EXPECT_EQ(job.id, kKilled);
+    EXPECT_EQ(f.reason, FailReason::WorkerDied);
+    ++failures;
+    return Disposition::Retry;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= kJobs) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  EXPECT_EQ(failures, 1u);
+  EXPECT_EQ(pool.stats().jobs_completed, kJobs);
+  for (std::size_t i = 1; i < kKilled; ++i) {
+    EXPECT_EQ(pid_of[i], pid_of[0]) << "job " << i << " left the warm worker";
+  }
+  ASSERT_FALSE(pid_of[kKilled].empty());
+  EXPECT_NE(pid_of[kKilled], pid_of[0]) << "the killed worker came back";
+  for (std::size_t i = kKilled + 1; i < kJobs; ++i) {
+    EXPECT_EQ(pid_of[i], pid_of[kKilled])
+        << "job " << i << " left the replacement warm worker";
+  }
+  // 13 dispatches; all but the first and the retry went to the worker
+  // that ran the previous job.
+  EXPECT_EQ(pool.stats().affinity_hits, kJobs - 1);
+  EXPECT_EQ(pool.stats().peak_measuring, 1u);
+  expect_no_children();
+}
+
 // The slot survives every way a job can end without a result. Job 1 is
-// SIGKILLed and job 3 hangs into its deadline, both while holding the
-// slot; job 5 dies after its mark but before its result. Dead workers are
-// not respawned, so only the failure itself can free the slot; the last
-// of the four workers finishes the rest. Every attempt logs its start and
-// mark to a shared file (O_APPEND lines are atomic), the supervisor
-// stamps the failures, and no two measured intervals — start to mark, or
-// start to the failure that freed the slot — may overlap, retries
-// included.
+// SIGKILLed early, job 3 hangs into its deadline, and job 5 dies after
+// its work but before its result. Dead workers are not respawned, so
+// only the failure itself can free the slot; the last of the four
+// workers finishes the rest. Every attempt logs its start to a shared
+// file (O_APPEND lines are atomic), the supervisor stamps each result and
+// failure, and no two intervals — start to the result or failure that
+// freed the slot — may overlap, retries included.
 TEST_F(PoolTest, MeasureSlotSurvivesWorkerDeathAndDeadline) {
   const std::string log_path =
       (std::filesystem::temp_directory_path() /
@@ -863,25 +923,24 @@ TEST_F(PoolTest, MeasureSlotSurvivesWorkerDeathAndDeadline) {
     if (std::strcmp(kind, "hang") == 0) {
       std::this_thread::sleep_for(std::chrono::seconds(60));
     }
-    log('M');
-    WorkerPool::mark_measured();
     if (std::strcmp(kind, "late") == 0) {
-      // Long enough for the other worker to take the slot first.
       std::this_thread::sleep_for(std::chrono::milliseconds(80));
       raise(SIGKILL);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
     return "done";
   };
-  // Supervisor-side time at which each failed attempt gave up its slot.
-  std::map<std::pair<int, int>, double> failed_at;
+  // Supervisor-side time at which each attempt gave up its slot.
+  std::map<std::pair<int, int>, double> resolved_at;
+  std::size_t failures = 0;
   std::size_t completed = 0;
-  client.on_result = [&](const Job&, const std::string&) {
+  client.on_result = [&](const Job& job, const std::string&) {
+    resolved_at[{static_cast<int>(job.id), attempts[job.id]}] = mono_now();
     ++completed;
     return Disposition::Done;
   };
   client.on_failure = [&](const Job& job, const JobFailure& f) {
-    failed_at[{static_cast<int>(job.id), attempts[job.id]}] = mono_now();
+    resolved_at[{static_cast<int>(job.id), attempts[job.id]}] = mono_now();
+    ++failures;
     if (job.id == 3) {
       EXPECT_EQ(f.reason, FailReason::DeadlineKilled);
       return Disposition::Done;
@@ -914,7 +973,7 @@ TEST_F(PoolTest, MeasureSlotSurvivesWorkerDeathAndDeadline) {
 
   EXPECT_EQ(out, PoolOutcome::Completed);
   EXPECT_EQ(completed, kJobs - 1);  // all but the hung job, retries included
-  EXPECT_EQ(failed_at.size(), 3u);
+  EXPECT_EQ(failures, 3u);
   EXPECT_EQ(attempts[1], 2);
   EXPECT_EQ(attempts[5], 2);
   EXPECT_GE(pool.stats().deadline_kills, 1u);
@@ -928,20 +987,12 @@ TEST_F(PoolTest, MeasureSlotSurvivesWorkerDeathAndDeadline) {
   int attempt = 0;
   double t = 0.0;
   while (is >> what >> id >> attempt >> t) {
-    Interval& iv = measured[{id, attempt}];
-    (what == 'S' ? iv.first : iv.second) = t;
+    const auto r = resolved_at.find({id, attempt});
+    ASSERT_NE(r, resolved_at.end())
+        << "job " << id << " attempt " << attempt << " never resolved";
+    measured[{id, attempt}] = {t, r->second};
   }
   std::filesystem::remove(log_path);
-  for (auto& [key, iv] : measured) {
-    if (iv.second == 0.0) {
-      // Never marked: the slot was held until the failure freed it.
-      const auto f = failed_at.find(key);
-      ASSERT_NE(f, failed_at.end())
-          << "job " << key.first << " attempt " << key.second
-          << " neither marked nor failed";
-      iv.second = f->second;
-    }
-  }
   EXPECT_EQ(measured.size(), kJobs + 2);  // every attempt, both retries
   std::vector<Interval> all;
   for (const auto& [key, iv] : measured) all.push_back(iv);

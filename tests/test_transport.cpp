@@ -3,8 +3,7 @@
 // parity against the hexfloat path, fuzzed decode robustness), the
 // slice-by-8 CRC-32 equivalence, and the pool-level carrier behaviours
 // over CRC pipe frames (multi-MiB payloads far above the pipe buffer, no
-// drops under a slow supervisor, corruption -> ProtocolCorrupt recycle,
-// affinity dispatch).
+// drops under a slow supervisor, corruption -> ProtocolCorrupt recycle).
 //
 // OpenMP note: pool tests fork workers from this process, so the fixture
 // pins OpenMP to one thread (a forked copy of a live libgomp thread pool
@@ -503,49 +502,6 @@ TEST_F(TransportTest, RingCorruptionIsProtocolCorruptAndRecycles) {
   EXPECT_EQ(completed.load(), 2);
   EXPECT_EQ(corrupt_failures.load(), 1);
   EXPECT_GE(pool.stats().recycles, 1u);
-}
-
-TEST_F(TransportTest, AffinityDispatchPartitionsKeysAcrossWorkers) {
-  // Jobs carry two affinity keys, four jobs each. The claim rule must
-  // keep each key on a single worker (warm state is built once per pool,
-  // not once per worker) and count the warm re-dispatches.
-  PoolConfig cfg;
-  cfg.workers = 2;
-  PoolClient client;
-  constexpr std::uint64_t kKeyA = 0xA1;
-  constexpr std::uint64_t kKeyB = 0xB1;
-  client.before_dispatch = [](Job& job) { job.payload = "q"; };
-  client.run_job = [](const std::string&) {
-    return std::to_string(getpid());
-  };
-  std::vector<std::string> pids(8);
-  client.on_result = [&](const Job& job, const std::string& result) {
-    pids[job.id] = result;
-    return Disposition::Done;
-  };
-  client.on_failure = [&](const Job&, const JobFailure& f) {
-    ADD_FAILURE() << "unexpected failure: " << f.describe();
-    return Disposition::Done;
-  };
-  std::size_t next = 0;
-  WorkerPool pool(cfg, client);
-  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (next >= pids.size()) return std::nullopt;
-    Job j;
-    j.id = next;
-    j.affinity = next < 4 ? kKeyA : kKeyB;
-    ++next;
-    return j;
-  });
-  EXPECT_EQ(out, PoolOutcome::Completed);
-  // Every key ran on exactly one worker.
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(pids[i], pids[0]) << "key A split across workers";
-    EXPECT_EQ(pids[4 + i], pids[4]) << "key B split across workers";
-  }
-  // Each key's first dispatch is cold; the remaining three per key must
-  // be warm-worker (pass 1) hits.
-  EXPECT_EQ(pool.stats().affinity_hits, 6u);
 }
 
 }  // namespace
